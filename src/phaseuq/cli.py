@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -124,12 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, default=None, help="override every configured seed"
         )
         sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker threads (default: PHASEUQ_THREADS, then auto)",
-        )
-        sp.add_argument(
             "--export-pgm",
             action="store_true",
             help="also write 16-bit PGM previews of 2-D tensors",
@@ -155,21 +148,6 @@ def _effective_config(cfg: ExperimentConfig, seed) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates)
 
 
-def _threads(args) -> int | None:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("PHASEUQ_THREADS", "").strip()
-        if not env:
-            return None
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"PHASEUQ_THREADS must be an integer, got {env!r}")
-    if value < 1:
-        raise ConfigError(f"threads must be >= 1, got {value}")
-    return value
-
-
 def _resolve_inputs(cfg: ExperimentConfig, command: str) -> list[Path]:
     dirs = []
     for name in _STAGE_INPUTS[command]:
@@ -190,18 +168,17 @@ def _dispatch(args) -> Path:
     else:
         cfg = _load(args.config)
     cfg = _effective_config(cfg, args.seed)
-    threads = _threads(args)
     out, pgm = args.out, args.export_pgm
 
     if command == "demo":
-        run = pipeline.demo_stage(cfg, out, threads=threads, export_pgm=pgm)
+        run = pipeline.demo_stage(cfg, out, export_pgm=pgm)
         sys.stdout.write((run / "demo_report.txt").read_text(encoding="utf-8"))
         return run
     if command == "simulate":
         return pipeline.simulate_stage(cfg, out, export_pgm=pgm)
     if command == "train":
         (pre,) = _resolve_inputs(cfg, command)
-        return pipeline.train_stage(cfg, out, pre, threads=threads)
+        return pipeline.train_stage(cfg, out, pre)
     stage = {
         "sfpm": pipeline.sfpm_stage,
         "dpc": pipeline.dpc_stage,

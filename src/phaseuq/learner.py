@@ -11,13 +11,20 @@ Training minimizes the normalized negative log-likelihood
 
 with an adaptive-moment optimizer. Everything is numpy, double
 precision, and deterministic given the seeds.
+
+Each convolution is an im2col followed by one GEMM. Activations are kept
+channel-major, (c, n, h, w); the column matrix of a layer input x is
+(9c, n*h*w), built from the 9 shifted slices of the zero-padded x, so the
+layer is k.reshape(o, 9c) @ cols. The forward pass keeps each layer's
+column matrix and the backward pass reuses it for the kernel gradient;
+the input gradient of the first layer is never formed. Ensemble members
+train one after another; the BLAS library's own threads inside the GEMMs
+are the only parallelism, and they do not change any result.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +41,7 @@ from .grid import RealRaster
 CHANNELS = (5, 16, 32, 16, 2)
 ARCH_ID = "puq-cnn-" + "x".join(str(c) for c in CHANNELS) + "-v1"
 LOG2 = math.log(2.0)
+EXP_LIMIT = math.log(np.finfo(np.float64).max)  # exp(x) overflows above this
 SPLITS = ("train", "validation", "test")
 
 
@@ -182,25 +190,40 @@ class PredictiveEnsemble:
 # ------------------------------------------------------------ plumbing
 
 
-def _windows(x: np.ndarray) -> np.ndarray:
-    # (n, c, h, w) -> (n, c, h, w, 3, 3) view of the zero-padded input
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    return np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """(c, n, h, w) -> (9c, n*h*w) column matrix of zero-padded 3x3 windows.
+
+    Row 9*ci + 3*dy + dx holds channel ci shifted by (dy - 1, dx - 1), the
+    order of k.reshape(o, 9c) for a kernel k of shape (o, c, 3, 3).
+    """
+    c, n, h, w = x.shape
+    xp = np.zeros((c, n, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x
+    cols = np.empty((c, 9, n, h, w))
+    for dy in range(3):
+        for dx in range(3):
+            cols[:, 3 * dy + dx] = xp[:, :, dy : dy + h, dx : dx + w]
+    return cols.reshape(9 * c, n * h * w)
 
 
-def _conv3(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # x (n, c, h, w) -> (n, o, h, w), 3x3 kernels, zero same-padding
-    out = np.tensordot(_windows(x), k, axes=([1, 4, 5], [1, 2, 3]))
-    return out.transpose(0, 3, 1, 2) + b[None, :, None, None]
+def _conv3(cols: np.ndarray, k: np.ndarray, shape) -> np.ndarray:
+    # one GEMM: (o, 9c) @ (9c, n*h*w) -> (o, n, h, w), channel-major
+    return (k.reshape(k.shape[0], -1) @ cols).reshape(k.shape[0], *shape)
 
 
-def _conv3_grad(x, k, dy):
-    """Gradients of y = conv3(x, k, b) given upstream dy."""
-    dk = np.tensordot(dy, _windows(x), axes=([0, 2, 3], [0, 2, 3]))
-    db = dy.sum(axis=(0, 2, 3))
-    kf = k[:, :, ::-1, ::-1]
-    dx = np.tensordot(_windows(dy), kf, axes=([1, 4, 5], [0, 2, 3]))
-    return dk, db, dx.transpose(0, 3, 1, 2)
+def _conv3_grad(cols, k, dy, need_dx=True):
+    """Gradients of y = conv3(x, k) + b given upstream dy, all channel-major.
+
+    cols is the forward pass's column matrix of x, reused for dk. dx is a
+    3x3 convolution of dy with the flipped, transposed kernel.
+    """
+    dy2 = dy.reshape(dy.shape[0], -1)
+    dk = (dy2 @ cols.T).reshape(k.shape)
+    db = dy2.sum(axis=1)
+    if not need_dx:
+        return dk, db, None
+    kf = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return dk, db, _conv3(_im2col(dy), kf, dy.shape[1:])
 
 
 def _sample_mask(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -211,21 +234,46 @@ def _sample_mask(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
     return keep.astype(float) / (1.0 - rate)
 
 
-def _forward_batch(params, x, mask):
-    z1 = _conv3(x, params.k1, params.b1)
+def _swap_nc(a: np.ndarray) -> np.ndarray:
+    # (n, c, h, w) <-> (c, n, h, w), a view
+    return a.transpose(1, 0, 2, 3)
+
+
+def _forward_cols(params, x, mask):
+    """Forward pass in channel-major (c, n, h, w) layout.
+
+    Returns the output (2, n, h, w), the activations and the four column
+    matrices, which the backward pass reuses for the kernel gradients.
+    """
+    shape = (x.shape[0], *x.shape[2:])
+    x0 = _swap_nc(x)
+    c1 = _im2col(x0)
+    z1 = _conv3(c1, params.k1, shape) + params.b1[:, None, None, None]
     a1 = np.maximum(z1, 0.0)
-    z2 = _conv3(a1, params.k2, params.b2)
+    c2 = _im2col(a1)
+    z2 = _conv3(c2, params.k2, shape) + params.b2[:, None, None, None]
     a2 = np.maximum(z2, 0.0)
-    d2 = a2 * mask[:, :, None, None]
-    z3 = _conv3(d2, params.k3, params.b3)
+    d2 = a2 * mask.T[:, :, None, None]
+    c3 = _im2col(d2)
+    z3 = _conv3(c3, params.k3, shape) + params.b3[:, None, None, None]
     a3 = np.maximum(z3, 0.0)
-    out = _conv3(a3, params.k4, params.b4)
-    return out, (x, z1, a1, z2, d2, z3, a3)
+    c4 = _im2col(a3)
+    out = _conv3(c4, params.k4, shape) + params.b4[:, None, None, None]
+    return out, (x0, z1, a1, z2, d2, z3, a3), (c1, c2, c3, c4)
+
+
+def _forward_batch(params, x, mask):
+    """x (n, 5, h, w) -> output (n, 2, h, w) and the activations, sample-major."""
+    out, acts, _ = _forward_cols(params, x, mask)
+    return _swap_nc(out), tuple(_swap_nc(a) for a in acts)
 
 
 def _loss_and_grad_out(out, y):
     mu = out[:, 0]
     s = out[:, 1]
+    smin = s.min()
+    if not smin > -EXP_LIMIT:
+        raise DivergedLoss(f"log-scale reached {smin}, exp(-s) would overflow")
     r = y - mu
     es = np.exp(-s)
     n = y.size
@@ -236,17 +284,18 @@ def _loss_and_grad_out(out, y):
 
 
 def _backward_batch(params, x, y, mask):
-    out, (x0, z1, a1, z2, d2, z3, a3) = _forward_batch(params, x, mask)
-    loss, dout = _loss_and_grad_out(out, y)
+    out, (_, z1, _, z2, _, z3, _), (c1, c2, c3, c4) = _forward_cols(params, x, mask)
+    loss, dout = _loss_and_grad_out(_swap_nc(out), y)
     if not math.isfinite(loss):
         raise DivergedLoss(f"loss became {loss}")
-    dk4, db4, da3 = _conv3_grad(a3, params.k4, dout)
+    dout = _swap_nc(dout)
+    dk4, db4, da3 = _conv3_grad(c4, params.k4, dout)
     dz3 = da3 * (z3 > 0.0)
-    dk3, db3, dd2 = _conv3_grad(d2, params.k3, dz3)
-    dz2 = dd2 * mask[:, :, None, None] * (z2 > 0.0)
-    dk2, db2, da1 = _conv3_grad(a1, params.k2, dz2)
+    dk3, db3, dd2 = _conv3_grad(c3, params.k3, dz3)
+    dz2 = dd2 * mask.T[:, :, None, None] * (z2 > 0.0)
+    dk2, db2, da1 = _conv3_grad(c2, params.k2, dz2)
     dz1 = da1 * (z1 > 0.0)
-    dk1, db1, _ = _conv3_grad(x0, params.k1, dz1)
+    dk1, db1, _ = _conv3_grad(c1, params.k1, dz1, need_dx=False)
     return RegressorParams(dk1, db1, dk2, db2, dk3, db3, dk4, db4), loss
 
 
@@ -353,12 +402,13 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
     return params
 
 
-def train_ensemble(dataset: Dataset, cfg: TrainConfig, threads=None) -> list[RegressorParams]:
-    """Independent members on disjoint seeds cfg.seed + 0 .. P-1."""
+def train_ensemble(dataset: Dataset, cfg: TrainConfig) -> list[RegressorParams]:
+    """Independent members on disjoint seeds cfg.seed + 0 .. P-1, one after another.
+
+    Member p depends only on the dataset and cfg.seed + p, not on P.
+    """
     cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(cfg.ensemble_size)]
-    workers = threads if threads else min(cfg.ensemble_size, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: train(dataset, c), cfgs))
+    return [train(dataset, c) for c in cfgs]
 
 
 def predict_ensemble(models, inputs, pitch: float = 1.0) -> PredictiveEnsemble:

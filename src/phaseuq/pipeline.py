@@ -150,7 +150,7 @@ def _settings_hash(cfg: ExperimentConfig) -> str:
     return config_hash(dataclasses.replace(cfg, paths=PathsBlock()))
 
 
-def _manifest(staging, stage, cfg, inputs=None, seeds=None, threads="unset") -> None:
+def _manifest(staging, stage, cfg, inputs=None, seeds=None) -> None:
     rows: list[tuple[str, object]] = [
         ("stage", stage),
         ("config_sha256", _settings_hash(cfg)),
@@ -159,8 +159,6 @@ def _manifest(staging, stage, cfg, inputs=None, seeds=None, threads="unset") -> 
         rows.append((f"input_{key}", Path(path).name))
     for key, value in sorted((seeds or {}).items()):
         rows.append((f"seed_{key}", value))
-    if threads != "unset":
-        rows.append(("threads", "auto" if threads is None else threads))
     rows += [
         ("version_phaseuq", __version__),
         ("version_numpy", np.__version__),
@@ -407,7 +405,11 @@ def preprocess_stage(
 
 
 def train_stage(cfg: ExperimentConfig, out_root, preprocess_dir, *, threads=None) -> Path:
-    """Fit the deep ensemble on the training patches, one checkpoint each."""
+    """Fit the deep ensemble on the training patches, one checkpoint each.
+
+    threads is accepted for older callers and ignored: members train one
+    after another, and only the BLAS library's own threads run in parallel.
+    """
     t = cfg.train
     xs, _ = _load(preprocess_dir, "patches_inputs.puqt")
     ys, _ = _load(preprocess_dir, "patches_targets.puqt")
@@ -434,7 +436,7 @@ def train_stage(cfg: ExperimentConfig, out_root, preprocess_dir, *, threads=None
         seed=t.seed,
         ensemble_size=t.ensemble_size,
     )
-    models = train_ensemble(dataset, tcfg, threads=threads)
+    models = train_ensemble(dataset, tcfg)
 
     with _staged_run(out_root, "train") as (staging, final):
         shash = _settings_hash(cfg)
@@ -451,7 +453,6 @@ def train_stage(cfg: ExperimentConfig, out_root, preprocess_dir, *, threads=None
             cfg,
             inputs={"preprocess": preprocess_dir},
             seeds={"train": t.seed},
-            threads=threads,
         )
         return _commit_run(staging, final)
 
@@ -623,9 +624,7 @@ def stitch_stage(
         return _commit_run(staging, final)
 
 
-def demo_stage(
-    cfg: ExperimentConfig, out_root, *, threads=None, export_pgm: bool = False
-) -> Path:
+def demo_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False) -> Path:
     """Full chain on one configuration, ending in a credibility gate.
 
     The gate requires the background credibility to be trustworthy: at
@@ -638,7 +637,7 @@ def demo_stage(
         sim = simulate_stage(cfg, staging, export_pgm=export_pgm)
         rec = sfpm_stage(cfg, staging, sim, export_pgm=export_pgm)
         pre = preprocess_stage(cfg, staging, sim, rec, export_pgm=export_pgm)
-        tr = train_stage(cfg, staging, pre, threads=threads)
+        tr = train_stage(cfg, staging, pre)
         prd = predict_stage(cfg, staging, pre, tr)
         ana = analyze_stage(cfg, staging, pre, prd, export_pgm=export_pgm)
         st = stitch_stage(cfg, staging, pre, ana, export_pgm=export_pgm)
@@ -663,7 +662,6 @@ def demo_stage(
             "demo",
             cfg,
             seeds={"phantom": ph.seed, "noise": cfg.noise.seed, "train": cfg.train.seed},
-            threads=threads,
         )
         run = _commit_run(staging, final)
         if not passed:

@@ -6,6 +6,9 @@ process-level contract (exit codes, error lines, flags) on cheap commands.
 
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +85,7 @@ def chain(cfg, tmp_path_factory):
     sfpm = pipeline.sfpm_stage(cfg, root, sim)
     dpc = pipeline.dpc_stage(cfg, root, sim)
     pre = pipeline.preprocess_stage(cfg, root, sim, sfpm)
-    train = pipeline.train_stage(cfg, root, pre, threads=2)
+    train = pipeline.train_stage(cfg, root, pre)
     predict = pipeline.predict_stage(cfg, root, pre, train)
     analyze = pipeline.analyze_stage(cfg, root, pre, predict)
     stitch = pipeline.stitch_stage(cfg, root, pre, analyze)
@@ -364,20 +367,22 @@ def test_cli_paths_key_required(tmp_path, capsys):
     assert rc == 2 and "paths.simulate_dir" in err
 
 
-def test_cli_bad_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PHASEUQ_THREADS", "many")
-    rc = main(["simulate", "--config", _write_cfg(tmp_path), "--out", str(tmp_path / "r")])
-    assert rc == 2
-    assert "PHASEUQ_THREADS" in capsys.readouterr().err
-
-
-def test_cli_threads_env_accepted(chain, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PHASEUQ_THREADS", "2")
+def test_cli_train_independent_of_blas_threads(chain, tmp_path):
+    """Checkpoints are byte-identical with one BLAS thread and with the default."""
     text = SMALL + f'\npaths {{\n  preprocess_dir {chain["preprocess"]}\n}}\n'
-    rc = main(["train", "--config", _write_cfg(tmp_path, text), "--out", str(tmp_path / "r")])
-    assert rc == 0
-    man = _manifest(tmp_path / "r" / "train-001")
-    assert man["threads"] == "2"
+    config = _write_cfg(tmp_path, text)
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = {}
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        out = tmp_path / name
+        cmd = [sys.executable, "-m", "phaseuq.cli", "train", "--config", config, "--out", str(out)]
+        subprocess.run(cmd, env=env | extra, check=True, capture_output=True, timeout=300)
+        runs[name] = {p.name: p.read_bytes() for p in sorted((out / "train-001").glob("*.puqt"))}
+    assert len(runs["one"]) == 2
+    assert runs["one"] == runs["default"]
 
 
 def test_cli_error_line_is_single_line(tmp_path, capsys):
@@ -391,7 +396,7 @@ def test_demo_gate_failure_raises(cfg, tmp_path, monkeypatch):
     """An impossible gate must fail loudly but keep the run directory."""
     monkeypatch.setattr(pipeline, "DEMO_GATE_FRACTION", 2.0)
     with pytest.raises(DemoGateFailure):
-        pipeline.demo_stage(cfg, tmp_path, threads=2)
+        pipeline.demo_stage(cfg, tmp_path)
     assert (tmp_path / "demo-001" / "demo_report.txt").is_file()
     report = (tmp_path / "demo-001" / "demo_report.txt").read_text()
     assert "gate fail" in report

@@ -1,9 +1,12 @@
 """Network, likelihood, gradients, training loop, ensembles."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import convolve, correlate
 
 from conftest import bump_field, hetero_dataset, hetero_holdout, hetero_sigma
 from phaseuq.errors import (
@@ -29,7 +32,7 @@ from phaseuq.learner import (
     train,
     train_ensemble,
 )
-from phaseuq.learner import _forward_batch, _loss_and_grad_out, _mask_for
+from phaseuq.learner import _backward_batch, _forward_batch, _loss_and_grad_out, _mask_for
 
 
 def flatten(params):
@@ -208,6 +211,70 @@ def test_gradcheck_against_central_differences():
     assert worst < 1e-4
 
 
+def reference_forward(params, x, mask):
+    """Per-channel scipy correlations, sample-major; returns output and pre-activations."""
+
+    def conv(a, k, b):
+        out = np.zeros((a.shape[0], k.shape[0], *a.shape[2:]))
+        for n in range(a.shape[0]):
+            for o in range(k.shape[0]):
+                for c in range(k.shape[1]):
+                    out[n, o] += correlate(a[n, c], k[o, c], mode="same")
+                out[n, o] += b[o]
+        return out
+
+    z1 = conv(x, params.k1, params.b1)
+    z2 = conv(np.maximum(z1, 0.0), params.k2, params.b2)
+    d2 = np.maximum(z2, 0.0) * mask[:, :, None, None]
+    z3 = conv(d2, params.k3, params.b3)
+    out = conv(np.maximum(z3, 0.0), params.k4, params.b4)
+    return out, (x, z1, z2, d2, z3)
+
+
+def reference_gradients(params, x, y, mask):
+    """Chain rule written out with scipy correlations and convolutions."""
+    out, (x, z1, z2, d2, z3) = reference_forward(params, x, mask)
+    acts = (x, np.maximum(z1, 0.0), d2, np.maximum(z3, 0.0))
+    gates = (None, z1 > 0.0, (z2 > 0.0) * mask[:, :, None, None], z3 > 0.0)
+    r = y - out[:, 0]
+    es = np.exp(-out[:, 1])
+    dz = np.stack([-np.sign(r) * es, 1.0 - np.abs(r) * es], axis=1) / y.size
+    grads = []
+    for layer in (3, 2, 1, 0):
+        k, a = params.kernels()[layer], acts[layer]
+        padded = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        dk = np.zeros_like(k)
+        for n in range(a.shape[0]):
+            for o in range(k.shape[0]):
+                for c in range(k.shape[1]):
+                    dk[o, c] += correlate(padded[n, c], dz[n, o], mode="valid")
+        grads = [dk, dz.sum(axis=(0, 2, 3))] + grads
+        if layer > 0:
+            da = np.zeros_like(a)
+            for n in range(a.shape[0]):
+                for c in range(k.shape[1]):
+                    for o in range(k.shape[0]):
+                        da[n, c] += convolve(dz[n, o], k[o, c], mode="same")
+            dz = da * gates[layer]
+    return out, grads
+
+
+def test_kernels_match_scipy_reference():
+    # batch 3 on a non-square frame, dropout zeroing some channels
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(3, 5, 12, 20))
+    y = rng.normal(size=(3, 12, 20))
+    mask = (rng.random((3, 32)) >= 0.4) / 0.6
+    assert (mask == 0.0).any(axis=1).all()
+    params = unflatten(0.3 * rng.normal(size=flatten(init_params(0)).size))
+    want_out, want_grads = reference_gradients(params, x, y, mask)
+    out, _ = _forward_batch(params, x, mask)
+    grads, _ = _backward_batch(params, x, y, mask)
+    for got, want in [(out, want_out), *zip(grads.as_list(), want_grads)]:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_dropout_masked_channel_gets_zero_gradient():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 12, 12))
@@ -308,9 +375,12 @@ def test_train_empty_dataset():
 
 
 def test_train_diverged_loss():
+    # divergence is reported before exp(-s) overflows, so no warning is emitted
     ds = Dataset(tuple(toy_pairs(8, 60, "train")))
-    with pytest.raises(DivergedLoss):
-        train(ds, TrainConfig(lr=1e5, epochs=50, dropout_rate=0.0, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergedLoss):
+            train(ds, TrainConfig(lr=1e5, epochs=50, dropout_rate=0.0, seed=0))
 
 
 # --------------------------------------------------------------- ensembles
@@ -328,14 +398,20 @@ def test_train_ensemble_members_differ():
     assert not np.array_equal(models[0].k1, models[1].k1)
 
 
-def test_train_ensemble_thread_determinism():
+def test_train_ensemble_member_independent_of_size():
+    # member p is train() on seed cfg.seed + p, whatever the ensemble size
     ds = Dataset(tuple(toy_pairs(8, 80, "train")))
-    cfg = TrainConfig(lr=1e-3, epochs=5, dropout_rate=0.1, seed=0, ensemble_size=3)
-    a = train_ensemble(ds, cfg, threads=1)
-    b = train_ensemble(ds, cfg, threads=3)
-    for ma, mb in zip(a, b):
-        for x, y in zip(ma.as_list(), mb.as_list()):
+    cfg = TrainConfig(lr=1e-3, epochs=5, dropout_rate=0.1, seed=4, ensemble_size=3)
+    three = train_ensemble(ds, cfg)
+    two = train_ensemble(ds, replace(cfg, ensemble_size=2))
+    assert len(three) == 3 and len(two) == 2
+    for p, member in enumerate(three):
+        alone = train(ds, replace(cfg, seed=cfg.seed + p))
+        for x, y in zip(member.as_list(), alone.as_list()):
             assert np.array_equal(x, y)
+        if p < 2:
+            for x, y in zip(member.as_list(), two[p].as_list()):
+                assert np.array_equal(x, y)
 
 
 def test_predict_ensemble_identical_members():
