@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import NonFiniteInput, SizeMismatch
 
@@ -26,6 +25,7 @@ __all__ = [
     "ComplexRaster",
     "fft2_unitary",
     "ifft2_unitary",
+    "swap_quadrants",
     "crop_center_spectrum",
     "embed_center_spectrum",
     "resize_bicubic",
@@ -98,16 +98,38 @@ def _check_fft_input(x: Raster) -> None:
 
 def fft2_unitary(x: Raster) -> ComplexRaster:
     """Centered unitary 2D FFT: DC lands at index (h//2, w//2)."""
+    from scipy import fft  # loaded on first use: most stages never transform
+
     _check_fft_input(x)
-    X = _fft.fftshift(_fft.fft2(_fft.ifftshift(x.data), norm="ortho"))
+    X = fft.fftshift(fft.fft2(fft.ifftshift(x.data), norm="ortho"))
     return ComplexRaster(X, x.pitch)
 
 
 def ifft2_unitary(X: ComplexRaster) -> ComplexRaster:
     """Inverse of fft2_unitary."""
+    from scipy import fft
+
     _check_fft_input(X)
-    x = _fft.fftshift(_fft.ifft2(_fft.ifftshift(X.data), norm="ortho"))
+    x = fft.fftshift(fft.ifft2(fft.ifftshift(X.data), norm="ortho"))
     return ComplexRaster(x, X.pitch)
+
+
+def swap_quadrants(x: np.ndarray) -> np.ndarray:
+    """Copy of an even-sided 2D array with its quadrants swapped diagonally.
+
+    For even sides fftshift and ifftshift are this same swap, so it moves a
+    centered spectrum (or field) to the FFT's own layout, DC at (0, 0), and
+    back again.
+    """
+    h, w = x.shape
+    _check_even(h, w)
+    a, b = h // 2, w // 2
+    out = np.empty_like(x)
+    out[:a, :b] = x[a:, b:]
+    out[:a, b:] = x[a:, :b]
+    out[a:, :b] = x[:a, b:]
+    out[a:, b:] = x[:a, :b]
+    return out
 
 
 def freq_axis(n: int, pitch: float) -> np.ndarray:

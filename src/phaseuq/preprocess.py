@@ -1,9 +1,8 @@
 """Phase-map conditioning.
 
-Unwrapping, slowly-varying background removal, dynamic-range clipping,
-[0, 1] normalization, background noise estimation, patch extraction,
-test-time mean equalization, and alpha-blend stitching. Everything here
-is pure and deterministic.
+Unwrapping, dynamic-range clipping, [0, 1] normalization, background
+noise estimation, patch extraction, test-time mean equalization, and
+alpha-blend stitching. Everything here is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
-from scipy import ndimage as _ndi
 
 from .errors import (
     CoverageGap,
@@ -43,6 +40,8 @@ def unwrap_phase(wrapped: RealRaster) -> RealRaster:
     the input plus exact multiples of 2pi, so residue-free fields are
     recovered up to a global constant.
     """
+    from scipy import fft  # loaded on first use: no pipeline stage unwraps
+
     p = wrapped.data
     m, n = p.shape
     dy = wrap_phase(np.diff(p, axis=0))
@@ -56,33 +55,15 @@ def unwrap_phase(wrapped: RealRaster) -> RealRaster:
     wx = 2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0
     denom = wy[:, None] + wx[None, :]
     denom[0, 0] = 1.0
-    coeff = _fft.dctn(rho, type=2, norm="ortho") / denom
+    coeff = fft.dctn(rho, type=2, norm="ortho") / denom
     coeff[0, 0] = 0.0
-    smooth = _fft.idctn(coeff, type=2, norm="ortho")
+    smooth = fft.idctn(coeff, type=2, norm="ortho")
     # snap to input + 2*pi*k; the circular mean removes the arbitrary
     # least-squares offset before rounding so k is spatially consistent
     diff = smooth - p
     offset = np.angle(np.mean(np.exp(1j * diff)))
     k = np.round((diff - offset) / TWO_PI)
     return RealRaster(p + TWO_PI * k, wrapped.pitch)
-
-
-def _disc_footprint(radius: int) -> np.ndarray:
-    r = int(radius)
-    yy, xx = np.mgrid[-r : r + 1, -r : r + 1]
-    return yy * yy + xx * xx <= r * r
-
-
-def remove_background(phase: RealRaster, radius: int = 32) -> RealRaster:
-    """Subtract the morphological opening by a disc of the given radius.
-
-    Features narrower than the disc survive; anything the disc can
-    slide under (slow background, tilt) is removed.
-    """
-    if radius < 1:
-        raise NonFiniteInput(f"opening radius must be >= 1, got {radius}")
-    opened = _ndi.grey_opening(phase.data, footprint=_disc_footprint(radius))
-    return RealRaster(phase.data - opened, phase.pitch)
 
 
 def clip_dynamic_range(x: RealRaster, fraction: float = 0.001) -> RealRaster:

@@ -3,7 +3,9 @@ linear DPC deconvolution baseline.
 
 Both reconstructors consume intensities produced by the optics forward model
 and share its spectrum-window convention (window centred at -u_led, the
-unscattered beam crossing the pupil at +u_led).
+unscattered beam crossing the pupil at +u_led).  The SFPM LED loop keeps that
+convention at its boundary but runs in the FFT's own unshifted layout, calling
+scipy.fft directly, which is loaded on the first reconstruction.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .grid import (
     embed_center_spectrum,
     fft2_unitary,
     ifft2_unitary,
+    swap_quadrants,
 )
 from .optics import (
     IlluminationPattern,
@@ -107,11 +110,20 @@ def sfpm_reconstruct(
 
     Per epoch, LEDs are visited in ascending illumination NA.  The spectrum
     window for LED j is propagated to the camera plane, its magnitude is
-    replaced by sqrt(I_j) keeping the phase, and the window is corrected by
-    the pupil-weighted difference.  Passing a list as ``residuals`` collects
+    replaced by sqrt(I_j) keeping the phase (psi * sqrt(I_j) / |psi|, or
+    sqrt(I_j) where psi = 0), and the window is corrected by the
+    pupil-weighted difference.  Passing a list as ``residuals`` collects
     the per-epoch data misfit sum ||sqrt(I_j) - |psi_j|||^2 so callers can
-    judge convergence; non-convergence is not an error.
+    judge convergence; non-convergence is not an error, a non-finite misfit
+    raises NonFiniteInput.
+
+    The LED loop runs in the FFT's own layout (DC at index 0): each window
+    is quadrant-swapped once on the way in and once on the way out, and the
+    pupil, its gain and sqrt(I_j) are swapped once before the loop.  This
+    needs even detector sides.
     """
+    from scipy import fft
+
     g = stack.geometry
     n_r, n_c = stack.detector_shape
     N_r, N_c = hires_shape
@@ -128,10 +140,12 @@ def sfpm_reconstruct(
     hi_pitch = det_pitch * n_r / N_r
     pupil = make_pupil(stack.na_obj, g.wavelength, (n_r, n_c), det_pitch)
     P = pupil.raster.data
-    p_gain = np.conj(P) / np.max(np.abs(P)) ** 2
     df_r = 1.0 / (N_r * hi_pitch)
     df_c = 1.0 / (N_c * hi_pitch)
     amp_scale = math.sqrt((n_r * n_c) / (N_r * N_c))
+    # Psi = amp_scale * W * P, and W += step * conj(P) / max|P|^2 * dPsi / amp_scale
+    p_scaled = swap_quadrants(amp_scale * P)
+    gain = swap_quadrants(cfg.step * np.conj(P) / np.max(np.abs(P)) ** 2 / amp_scale)
 
     order = sorted(stack.images, key=lambda led: (na_illum[led], led))
 
@@ -143,7 +157,10 @@ def sfpm_reconstruct(
         small = fft2_unitary(ComplexRaster(amp.astype(complex), det_pitch))
         O = embed_center_spectrum(small, N_r, N_c).data.copy()
 
-    sqrt_meas = {led: np.sqrt(np.maximum(stack.images[led].data, 0.0)) for led in order}
+    sqrt_meas = {
+        led: swap_quadrants(np.sqrt(np.maximum(stack.images[led].data, 0.0)))
+        for led in order
+    }
     windows = {}
     for led in order:
         u, _ = led_frequency(g, led)
@@ -159,14 +176,25 @@ def sfpm_reconstruct(
         misfit = 0.0
         for led in order:
             r0, c0 = windows[led]
-            W = O[r0 : r0 + n_r, c0 : c0 + n_c]
-            Psi = amp_scale * W * P
-            psi = ifft2_unitary(ComplexRaster(Psi, det_pitch)).data
+            window = O[r0 : r0 + n_r, c0 : c0 + n_c]
+            W = swap_quadrants(window)
+            Psi = W * p_scaled
+            psi = fft.ifft2(Psi, norm="ortho")
             mag = np.abs(psi)
-            misfit += float(np.sum((sqrt_meas[led] - mag) ** 2))
-            psi_new = sqrt_meas[led] * np.exp(1j * np.angle(psi))
-            Psi_new = fft2_unitary(ComplexRaster(psi_new, det_pitch)).data
-            W += cfg.step * p_gain * (Psi_new - Psi) / amp_scale
+            target = sqrt_meas[led]
+            misfit += float(np.sum((target - mag) ** 2))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = target / mag
+                psi_new = psi * ratio
+            # |psi| = 0 (or so small the ratio overflows): keep the phase of psi
+            lost = ~np.isfinite(ratio)
+            if lost.any():
+                psi_new[lost] = target[lost] * np.exp(1j * np.angle(psi[lost]))
+            Psi_new = fft.fft2(psi_new, norm="ortho")
+            W += gain * (Psi_new - Psi)
+            window[...] = swap_quadrants(W)
+        if not math.isfinite(misfit):
+            raise NonFiniteInput(f"sfpm misfit became {misfit} during an epoch")
         if residuals is not None:
             residuals.append(misfit)
 

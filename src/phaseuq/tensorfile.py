@@ -58,6 +58,8 @@ def _decode(blob: bytes, offset: int, path) -> tuple[np.ndarray, str, int]:
         raise FormatError(f"{path}: unsupported version {version}")
     if code not in _DTYPE_CODES:
         raise FormatError(f"{path}: unknown dtype code {code}")
+    if rank < 1:
+        raise FormatError(f"{path}: rank {rank} record, rank must be >= 1")
     offset += 7
     if len(blob) < offset + 4 * rank:
         raise FormatError(f"{path}: truncated dimension header")
@@ -71,6 +73,8 @@ def _decode(blob: bytes, offset: int, path) -> tuple[np.ndarray, str, int]:
             f"{path}: payload holds {len(blob) - offset} bytes, need {n_bytes}"
         )
     array = np.frombuffer(blob, dtype=dtype, count=n_items, offset=offset)
+    if not np.isfinite(array).all():
+        raise NonFiniteInput(f"{path}: tensor payload contains non-finite values")
     array = array.reshape(dims).copy()
     offset += n_bytes
     metadata = ""
@@ -84,7 +88,10 @@ def _decode(blob: bytes, offset: int, path) -> tuple[np.ndarray, str, int]:
             raise FormatError(
                 f"{path}: metadata block holds {len(blob) - offset} bytes, header says {m_len}"
             )
-        metadata = blob[offset : offset + m_len].decode("utf-8")
+        try:
+            metadata = blob[offset : offset + m_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: metadata is not valid UTF-8 ({exc.reason})") from None
         offset += m_len
     return array, metadata, offset
 

@@ -385,6 +385,22 @@ def test_cli_train_independent_of_blas_threads(chain, tmp_path):
     assert runs["one"] == runs["default"]
 
 
+def test_cli_import_loads_no_transform_modules():
+    """Starting the CLI loads neither scipy.fft nor scipy.ndimage."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, phaseuq.cli; "
+        "print(sorted({'scipy.fft', 'scipy.ndimage'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_cli_error_line_is_single_line(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "r")])
     assert rc == 3

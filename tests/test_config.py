@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -188,6 +189,33 @@ def test_tensor_rejects_truncation(tmp_path):
     write_tensor(path, np.ones((2, 2)))
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(FormatError):
+        read_tensor(path)
+
+
+def test_tensor_rejects_non_utf8_metadata(tmp_path):
+    path = tmp_path / "a.puqt"
+    write_tensor(path, np.ones((2, 2)), "ab")
+    path.write_bytes(path.read_bytes()[:-2] + b"\xff\xfe")
+    with pytest.raises(FormatError):
+        read_tensor(path)
+
+
+def test_tensor_rejects_rank_zero_record(tmp_path):
+    path = tmp_path / "a.puqt"
+    path.write_bytes(b"PUQT" + struct.pack("<BBB", 1, 2, 0) + struct.pack("<d", 1.0))
+    with pytest.raises(FormatError):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (2, 1, 2)])
+def test_tensor_rejects_non_finite_on_read(tmp_path, shape):
+    path = tmp_path / "a.puqt"
+    write_tensor(path, np.ones(shape), "meta")
+    blob = bytearray(path.read_bytes())
+    header = 7 + 4 * len(shape)
+    blob[header : header + 8] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(NonFiniteInput):
         read_tensor(path)
 
 

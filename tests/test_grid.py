@@ -13,6 +13,7 @@ from phaseuq.grid import (
     freq_axis,
     ifft2_unitary,
     resize_bicubic,
+    swap_quadrants,
 )
 
 
@@ -63,6 +64,15 @@ def test_freq_axis_layout():
     assert f[4] == 0.0
     assert abs(f[5] - 1.0 / 16.0) < 1e-15
     assert abs(f[0] + 4.0 / 16.0) < 1e-15
+
+
+def test_swap_quadrants_is_both_shifts_for_even_sides():
+    x = np.arange(6 * 10, dtype=complex).reshape(6, 10)
+    np.testing.assert_array_equal(swap_quadrants(x), np.fft.fftshift(x))
+    np.testing.assert_array_equal(swap_quadrants(x), np.fft.ifftshift(x))
+    np.testing.assert_array_equal(swap_quadrants(swap_quadrants(x)), x)
+    with pytest.raises(SizeMismatch):
+        swap_quadrants(np.zeros((5, 4)))
 
 
 def test_crop_same_size_is_identity():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from conftest import bump_field
 from phaseuq.errors import (
@@ -20,7 +19,6 @@ from phaseuq.preprocess import (
     estimate_noise,
     extract_patches,
     normalize_unit,
-    remove_background,
     stitch_alpha_blend,
     unwrap_phase,
     wrap_phase,
@@ -65,38 +63,6 @@ def test_unwrap_roundtrip_and_congruence(seed):
     k = (out - wrapped) / (2 * np.pi)
     assert np.max(np.abs(k - np.round(k))) < 1e-9
     assert rms(out - phi) < 1e-6
-
-
-# ---- background removal ----
-
-
-def test_remove_background_constant():
-    out = remove_background(RealRaster(np.full((80, 80), 1.7)), radius=8)
-    assert np.max(np.abs(out.data)) == 0.0
-
-
-def test_remove_background_identity_on_opened_image():
-    disc = np.mgrid[-8:9, -8:9]
-    foot = disc[0] ** 2 + disc[1] ** 2 <= 64
-    smooth = ndimage.grey_opening(bump_field(96, seed=2, amplitude=1.0), footprint=foot)
-    out = remove_background(RealRaster(smooth), radius=8)
-    assert np.max(np.abs(out.data)) < 1e-12
-
-
-def test_remove_background_blob_on_tilt():
-    n = 192
-    yy, xx = np.mgrid[0:n, 0:n].astype(float)
-    blob = 10.0 * np.exp(-((yy - 96) ** 2 + (xx - 96) ** 2) / (2 * 4.0**2))
-    field = blob + tilt(n, 0.4)
-    out = remove_background(RealRaster(field), radius=32).data
-    assert abs(out[96, 96] - 10.0) < 0.5
-    background = (yy - 96) ** 2 + (xx - 96) ** 2 > 24**2
-    assert np.max(np.abs(out[background])) < 0.1
-
-
-def test_remove_background_bad_radius():
-    with pytest.raises(NonFiniteInput):
-        remove_background(RealRaster(np.zeros((8, 8))), radius=0)
 
 
 # ---- clipping ----

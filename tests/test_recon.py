@@ -1,9 +1,12 @@
 """Closed-loop reconstruction checks: the simulator is the oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import bump_field
+from phaseuq import recon
 from phaseuq.errors import InsufficientGrid, NonFiniteInput, SizeMismatch, ZeroMeanImage
 from phaseuq.grid import (
     ComplexRaster,
@@ -136,6 +139,65 @@ def test_sfpm_determinism(closure_run):
     stack, _ = simulate_stack(g, phi, 256, 64, 0.5)
     again = sfpm_reconstruct(stack, SfpmConfig(epochs=50), (256, 256))
     assert np.array_equal(again.data, rec.data)
+
+
+def reference_sfpm(stack, epochs, n_hi):
+    """Textbook sequential FPM on centred spectra: every transform wrapped in
+    fftshift/ifftshift, and the magnitude replaced via exp(1j * angle)."""
+    g, n = stack.geometry, stack.detector_shape[0]
+    det_pitch = stack.detector_pitch
+    hi_pitch = det_pitch * n / n_hi
+    shift = np.fft.fftshift
+
+    def fft_c(x):
+        return shift(np.fft.fft2(np.fft.ifftshift(x), norm="ortho"))
+
+    def ifft_c(x):
+        return shift(np.fft.ifft2(np.fft.ifftshift(x), norm="ortho"))
+
+    P = make_pupil(stack.na_obj, g.wavelength, (n, n), det_pitch).raster.data
+    p_gain = np.conj(P) / np.max(np.abs(P)) ** 2
+    amp_scale = n / n_hi
+    order = sorted(stack.images, key=lambda led: (led_frequency(g, led)[1], led))
+    O = np.zeros((n_hi, n_hi), dtype=complex)
+    c = n_hi // 2 - n // 2
+    O[c : c + n, c : c + n] = fft_c(np.sqrt(stack.images[order[0]].data)) / amp_scale
+    df = 1.0 / (n_hi * hi_pitch)
+    for _ in range(epochs):
+        for led in order:
+            u, _ = led_frequency(g, led)
+            r0 = n_hi // 2 - round(float(u[0]) / df) - n // 2
+            c0 = n_hi // 2 - round(float(u[1]) / df) - n // 2
+            W = O[r0 : r0 + n, c0 : c0 + n]
+            Psi = amp_scale * W * P
+            psi = ifft_c(Psi)
+            psi_new = np.sqrt(stack.images[led].data) * np.exp(1j * np.angle(psi))
+            W += p_gain * (fft_c(psi_new) - Psi) / amp_scale
+    return ifft_c(O)
+
+
+def test_sfpm_matches_textbook_reference():
+    # the built-in demo geometry: 9x9 LEDs, 32^2 detector, 128^2 field
+    g = LedArrayGeometry(9, 9, 2.2, 60.0, LAM, (4, 4))
+    phi = bump_field(128, seed=2, amplitude=1.0, sigma_range=(6.0, 14.0))
+    stack, _ = simulate_stack(g, phi, 128, 32, 0.5)
+    rec = sfpm_reconstruct(stack, SfpmConfig(epochs=1), (128, 128)).data
+    want = reference_sfpm(stack, 1, 128)
+    assert np.max(np.abs(rec - want)) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_sfpm_non_finite_loop_value_raises(monkeypatch):
+    g = LedArrayGeometry(7, 7, 2.0, 60.0, LAM, (3, 3))
+    stack, pupil = simulate_stack(g, np.zeros((128, 128)), 128, 32, 0.5)
+    data = pupil.raster.data.copy()
+    data[16, 16] = np.nan
+    broken = SimpleNamespace(raster=SimpleNamespace(data=data))
+    monkeypatch.setattr(recon, "make_pupil", lambda *args: broken)
+    residuals = []
+    with pytest.raises(NonFiniteInput):
+        sfpm_reconstruct(stack, SfpmConfig(epochs=3), (128, 128), residuals=residuals)
+    assert residuals == []  # raised at the end of the first epoch
 
 
 def test_sfpm_insufficient_grid():

@@ -12,6 +12,7 @@ from phaseuq.errors import (
     NonPositiveSigma,
     ShapeMismatch,
 )
+from phaseuq import uqstats
 from phaseuq.grid import RealRaster
 from phaseuq.uqstats import (
     CredibilityMap,
@@ -250,6 +251,56 @@ def test_bound_rejects_bad_target():
         credible_bound(ens, 1.0)
     with pytest.raises(NonFiniteInput):
         credible_bound(ens, -0.2)
+
+
+# ------------------------------------------------------ blockwise evaluation
+
+
+def wide_ensemble():
+    """1,665 pixels (not a multiple of 7 or 1,000), one member at sigma 1e9."""
+    rng = np.random.default_rng(14)
+    shape = (45, 37)
+    members = [
+        mk_map(rng.normal(0.5, 0.2, shape), rng.uniform(0.01, 0.3, shape)) for _ in range(3)
+    ]
+    sigma = rng.uniform(0.01, 0.3, shape)
+    sigma[3, 5:9] = 1e9
+    members.append(mk_map(rng.normal(0.5, 0.2, shape), sigma))
+    return mk_ensemble(members)
+
+
+def test_blockwise_outputs_independent_of_block_size(monkeypatch):
+    ens = wide_ensemble()
+    runs = []
+    for block in (uqstats._BLOCK_PIXELS, 1000, 7):
+        monkeypatch.setattr(uqstats, "_BLOCK_PIXELS", block)
+        runs.append(
+            (credibility_map(ens, 0.05).values.data, credible_bound(ens, 0.9).data)
+        )
+    for cmap, bound in runs[1:]:
+        assert cmap.tobytes() == runs[0][0].tobytes()
+        assert bound.tobytes() == runs[0][1].tobytes()
+
+
+def test_credibility_matches_laplace_cdf_mixture():
+    ens = wide_ensemble()
+    eps = 0.05
+    want = _credibility_of(ens, np.full(ens.members[0].mu.shape, eps))
+    got = credibility_map(ens, eps).values.data
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_blockwise_rejects_zero_sigma():
+    ens = wide_ensemble()
+    bad = ens.members[1].log_scale.data.copy()
+    bad[20, 30] = -1000.0  # sigma = exp(-1000) underflows to 0
+    members = list(ens.members)
+    members[1] = PredictiveMap(members[1].mu, RealRaster(bad))
+    ens = mk_ensemble(members)
+    with pytest.raises(NonPositiveSigma):
+        credibility_map(ens, 0.05)
+    with pytest.raises(NonPositiveSigma):
+        credible_bound(ens, 0.9)
 
 
 # ------------------------------------------------------ reliability_diagram
