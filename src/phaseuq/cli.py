@@ -8,7 +8,8 @@ path; failures print a single machine-parsable line on stderr::
     phaseuq-error code=<ErrorClass> message="..."
 
 Exit codes: 2 configuration problems, 3 missing input artifacts, 4 output
-collisions, 1 any other pipeline error.
+collisions, 1 any other pipeline error or operating-system error (reported
+as ``code=OSError``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .config import ExperimentConfig, load_config, parse_config
-from .errors import ConfigError, MissingArtifact, PhaseUqError
+from .errors import ConfigError, ExistingArtifact, MissingArtifact, PhaseUqError
 
 DEMO_CONFIG = """\
 # Built-in demo: simulate, reconstruct, learn, and verify calibration.
@@ -169,6 +170,8 @@ def _dispatch(args) -> Path:
         cfg = _load(args.config)
     cfg = _effective_config(cfg, args.seed)
     out, pgm = args.out, args.export_pgm
+    if Path(out).exists() and not Path(out).is_dir():
+        raise ExistingArtifact(f"--out {out} exists and is not a directory")
 
     if command == "demo":
         run = pipeline.demo_stage(cfg, out, export_pgm=pgm)
@@ -192,14 +195,20 @@ def _dispatch(args) -> Path:
     return pipeline.predict_stage(cfg, out, pre, tr)
 
 
+def _report(code: str, exc: Exception) -> int:
+    message = str(exc).replace('"', "'").replace("\n", " ")
+    sys.stderr.write(f'phaseuq-error code={code} message="{message}"\n')
+    return _EXIT_CODES.get(code, 1)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = _dispatch(args)
     except PhaseUqError as exc:
-        message = str(exc).replace('"', "'").replace("\n", " ")
-        sys.stderr.write(f'phaseuq-error code={exc.code} message="{message}"\n')
-        return _EXIT_CODES.get(exc.code, 1)
+        return _report(exc.code, exc)
+    except OSError as exc:
+        return _report("OSError", exc)
     print(run)
     return 0
 

@@ -11,11 +11,18 @@ Syntax, one item per line:
 Blocks hold key/value leaves; values are typed by a fixed per-block
 schema. Unknown blocks or keys are errors, as are duplicates: silent
 misconfiguration is worse than a loud one.
+
+Each block is one frozen dataclass, and the library takes these as they
+are (``TrainConfig`` for training, ``SfpmConfig`` for the sfpm solver).
+Every block checks its ranges in ``__post_init__``, so a bad value raises
+ConfigError when the config is parsed, or when a block is rebuilt with
+``dataclasses.replace``, before any stage runs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -23,14 +30,37 @@ from .errors import ConfigError
 _PHANTOM_KINDS = ("gaussian-bumps", "resolution-target")
 _NOISE_MODELS = ("gaussian", "poisson", "none")
 _POLICIES = ("background-noise", "explicit")
-_PATH_KEYS = (
-    "simulate_dir",
-    "recon_dir",
-    "preprocess_dir",
-    "train_dir",
-    "predict_dir",
-    "analyze_dir",
-)
+_SFPM_INITS = ("upsampled-brightfield", "flat")
+
+
+def _check(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{key} must be {rule}, got {value!r}")
+
+
+def _positive(key: str, value: float) -> None:
+    _check(math.isfinite(value) and value > 0.0, key, "finite and > 0", value)
+
+
+def _nonnegative(key: str, value: float) -> None:
+    _check(math.isfinite(value) and value >= 0.0, key, "finite and >= 0", value)
+
+
+def _at_least(key: str, value: int, lo: int) -> None:
+    _check(value >= lo, key, f">= {lo}", value)
+
+
+def _index(key: str, value: int, n: int) -> None:
+    _check(0 <= value < n, key, f"in [0, {n})", value)
+
+
+def _fraction(key: str, value: float) -> None:
+    _check(0.0 <= value < 1.0, key, "in [0, 1)", value)
+
+
+def _one_of(key: str, value: str, choices: tuple[str, ...]) -> None:
+    _check(value in choices, key, "one of " + ", ".join(choices), value)
+
 
 @dataclass(frozen=True)
 class GeometryBlock:
@@ -42,6 +72,15 @@ class GeometryBlock:
     center_row: int
     center_col: int
 
+    def __post_init__(self):
+        _at_least("geometry.rows", self.rows, 1)
+        _at_least("geometry.cols", self.cols, 1)
+        _positive("geometry.pitch_led", self.pitch_led)
+        _positive("geometry.height", self.height)
+        _positive("geometry.wavelength", self.wavelength)
+        _index("geometry.center_row", self.center_row, self.rows)
+        _index("geometry.center_col", self.center_col, self.cols)
+
 
 @dataclass(frozen=True)
 class OpticsBlock:
@@ -50,6 +89,21 @@ class OpticsBlock:
     n_detector: int
     n_hires: int
     pitch_detector: float
+
+    def __post_init__(self):
+        _positive("optics.na_obj", self.na_obj)
+        # the darkfield patterns cover the annulus na_obj < NA <= na_max
+        _positive("optics.na_max", self.na_max)
+        _check(self.na_max > self.na_obj, "optics.na_max", "> optics.na_obj", self.na_max)
+        _at_least("optics.n_detector", self.n_detector, 1)
+        # the simulated object grid is an integer upsampling of the detector
+        _check(
+            self.n_hires >= 1 and self.n_hires % self.n_detector == 0,
+            "optics.n_hires",
+            f"a positive multiple of n_detector={self.n_detector}",
+            self.n_hires,
+        )
+        _positive("optics.pitch_detector", self.pitch_detector)
 
 
 @dataclass(frozen=True)
@@ -60,6 +114,18 @@ class PhantomBlock:
     count: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        _one_of("phantom.kind", self.kind, _PHANTOM_KINDS)
+        _nonnegative("phantom.amplitude_lo", self.amplitude_lo)
+        _check(
+            math.isfinite(self.amplitude_hi) and self.amplitude_hi >= self.amplitude_lo,
+            "phantom.amplitude_hi",
+            f"finite and >= amplitude_lo={self.amplitude_lo}",
+            self.amplitude_hi,
+        )
+        _at_least("phantom.count", self.count, 1)
+        _at_least("phantom.seed", self.seed, 0)
+
 
 @dataclass(frozen=True)
 class NoiseBlock:
@@ -67,17 +133,32 @@ class NoiseBlock:
     level: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        _one_of("noise.model", self.model, _NOISE_MODELS)
+        _nonnegative("noise.level", self.level)
+        if self.model == "poisson":
+            _positive("noise.level", self.level)  # photons per unit intensity
+        _at_least("noise.seed", self.seed, 0)
+
 
 @dataclass(frozen=True)
-class SfpmBlock:
+class SfpmConfig:
+    """Settings of the sequential synthetic-aperture solver: the sfpm block."""
+
     epochs: int = 50
     step: float = 1.0
-    order: str = "ascending-na"
     init: str = "upsampled-brightfield"
+
+    def __post_init__(self):
+        _at_least("sfpm.epochs", self.epochs, 1)
+        _check(0.0 < self.step <= 1.0, "sfpm.step", "in (0, 1]", self.step)
+        _one_of("sfpm.init", self.init, _SFPM_INITS)
 
 
 @dataclass(frozen=True)
-class TrainBlock:
+class TrainConfig:
+    """Ensemble training and patch tiling settings: the train block."""
+
     lr: float = 1e-3
     epochs: int = 200
     batch_size: int = 16
@@ -87,6 +168,16 @@ class TrainBlock:
     patch: int = 16
     stride: int = 8
 
+    def __post_init__(self):
+        _positive("train.lr", self.lr)
+        _at_least("train.epochs", self.epochs, 1)
+        _at_least("train.batch_size", self.batch_size, 1)
+        _fraction("train.dropout_rate", self.dropout_rate)
+        _at_least("train.seed", self.seed, 0)
+        _at_least("train.ensemble_size", self.ensemble_size, 1)
+        _at_least("train.patch", self.patch, 1)
+        _at_least("train.stride", self.stride, 1)
+
 
 @dataclass(frozen=True)
 class AnalysisBlock:
@@ -95,6 +186,27 @@ class AnalysisBlock:
     target_p: float = 0.95
     delta_p: float = 0.04
     background_threshold: float = 0.1
+
+    def __post_init__(self):
+        _one_of("analysis.policy", self.policy, _POLICIES)
+        _nonnegative("analysis.epsilon", self.epsilon)
+        if self.policy == "explicit":
+            _positive("analysis.epsilon", self.epsilon)
+        _fraction("analysis.target_p", self.target_p)
+        # reliability bins are ((m-1) delta_p, m delta_p] for m = 1 .. 1/delta_p
+        n_bins = round(1.0 / self.delta_p) if 0.0 < self.delta_p <= 1.0 else 0
+        _check(
+            math.isclose(n_bins * self.delta_p, 1.0, rel_tol=0.0, abs_tol=1e-12),
+            "analysis.delta_p",
+            "in (0, 1] with 1/delta_p an integer",
+            self.delta_p,
+        )
+        _check(
+            0.0 <= self.background_threshold <= 1.0,
+            "analysis.background_threshold",
+            "in [0, 1]",
+            self.background_threshold,
+        )
 
 
 @dataclass(frozen=True)
@@ -113,8 +225,8 @@ class ExperimentConfig:
     optics: OpticsBlock | None = None
     phantom: PhantomBlock | None = None
     noise: NoiseBlock = NoiseBlock()
-    sfpm: SfpmBlock = SfpmBlock()
-    train: TrainBlock = TrainBlock()
+    sfpm: SfpmConfig = SfpmConfig()
+    train: TrainConfig = TrainConfig()
     analysis: AnalysisBlock = AnalysisBlock()
     paths: PathsBlock = PathsBlock()
 
@@ -124,18 +236,10 @@ _BLOCK_TYPES = {
     "optics": OpticsBlock,
     "phantom": PhantomBlock,
     "noise": NoiseBlock,
-    "sfpm": SfpmBlock,
-    "train": TrainBlock,
+    "sfpm": SfpmConfig,
+    "train": TrainConfig,
     "analysis": AnalysisBlock,
     "paths": PathsBlock,
-}
-
-_ENUMS = {
-    ("phantom", "kind"): _PHANTOM_KINDS,
-    ("noise", "model"): _NOISE_MODELS,
-    ("analysis", "policy"): _POLICIES,
-    ("sfpm", "order"): ("ascending-na", "raster"),
-    ("sfpm", "init"): ("upsampled-brightfield", "flat"),
 }
 
 
@@ -177,13 +281,6 @@ def parse_blocks(text: str) -> dict:
 
 
 def _convert(block: str, key: str, kind: type, raw: str):
-    enum = _ENUMS.get((block, key))
-    if enum is not None:
-        if raw not in enum:
-            raise ConfigError(
-                f"{block}.{key}: {raw!r} is not one of {', '.join(enum)}"
-            )
-        return raw
     if kind is str:
         return raw
     try:

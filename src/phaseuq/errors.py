@@ -57,10 +57,6 @@ class MaskTooSmall(PhaseUqError):
     pass
 
 
-class ZeroMeanPatch(PhaseUqError):
-    pass
-
-
 class CoverageGap(PhaseUqError):
     pass
 

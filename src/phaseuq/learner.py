@@ -9,8 +9,12 @@ Training minimizes the normalized negative log-likelihood
 
     L = mean( |y - mu| * exp(-s) + s + log 2 )
 
-with an adaptive-moment optimizer. Everything is numpy, double
-precision, and deterministic given the seeds.
+with Adam (decay rates BETA1, BETA2 and guard ADAM_EPS are module
+constants) under the settings of ``config.TrainConfig``. Channel dropout
+regularizes training only: prediction is deterministic, and the spread of
+the uncertainty comes from the deep ensemble's independently trained
+members. Everything is numpy, double precision, and deterministic given
+the seeds.
 
 Each convolution is an im2col followed by one GEMM. Activations are kept
 channel-major, (c, n, h, w); the column matrix of a layer input x is
@@ -29,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import (
     DivergedLoss,
     EmptyDataset,
@@ -43,6 +48,10 @@ ARCH_ID = "puq-cnn-" + "x".join(str(c) for c in CHANNELS) + "-v1"
 LOG2 = math.log(2.0)
 EXP_LIMIT = math.log(np.finfo(np.float64).max)  # exp(x) overflows above this
 SPLITS = ("train", "validation", "test")
+# Adam moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 # ---------------------------------------------------------------- types
@@ -83,38 +92,12 @@ class RegressorParams:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 16
-    epochs: int = 500
-    dropout_rate: float = 0.1
-    seed: int = 0
-    ensemble_size: int = 8
-
-    def __post_init__(self):
-        if not (self.lr > 0.0):
-            raise NonFiniteInput(f"learning rate must be > 0, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise NonFiniteInput("moment coefficients must lie in [0, 1)")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise NonFiniteInput(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
-        if self.batch_size < 1 or self.epochs < 1 or self.ensemble_size < 1:
-            raise NonFiniteInput("batch size, epochs and ensemble size must be >= 1")
-
-
-@dataclass(frozen=True)
 class SamplePair:
-    """One training example plus its split and region tags."""
+    """One training example plus its split tag."""
 
     inputs: np.ndarray  # (5, H, W) measurement stack, upsampled
     target: np.ndarray  # (H, W) normalized phase in [0, 1]
     split: str = "train"
-    region: str = ""
-    frame: int = 0
-    sample_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -169,15 +152,14 @@ class PredictiveMap:
 
 @dataclass(frozen=True)
 class PredictiveEnsemble:
+    """Per-member predictive maps of a deep ensemble over one input."""
+
     members: tuple[PredictiveMap, ...]
-    source: str  # deep-ensemble | mc-dropout
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
         if not self.members:
             raise SizeMismatch("ensemble needs at least one member")
-        if self.source not in ("deep-ensemble", "mc-dropout"):
-            raise NonFiniteInput(f"unknown ensemble source {self.source!r}")
         shapes = {m.mu.shape for m in self.members}
         if len(shapes) != 1:
             raise ShapeMismatch("ensemble members must share one shape")
@@ -329,16 +311,10 @@ def init_params(seed: int) -> RegressorParams:
     return RegressorParams(*tensors)
 
 
-def forward(
-    params: RegressorParams,
-    inputs,
-    dropout_rate: float = 0.0,
-    dropout_seed=None,
-    pitch: float = 1.0,
-) -> PredictiveMap:
+def forward(params: RegressorParams, inputs, pitch: float = 1.0) -> PredictiveMap:
+    """Deterministic prediction for one (5, H, W) stack; dropout is off."""
     arr = _check_stack(inputs)
-    mask = _mask_for(dropout_rate, dropout_seed)
-    out, _ = _forward_batch(params, arr[None], mask)
+    out, _ = _forward_batch(params, arr[None], np.ones((1, CHANNELS[2])))
     return PredictiveMap(RealRaster(out[0, 0], pitch), RealRaster(out[0, 1], pitch))
 
 
@@ -391,11 +367,11 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
             t += 1
             new = []
             for j, (p, g) in enumerate(zip(params.as_list(), grads.as_list())):
-                m[j] = cfg.beta1 * m[j] + (1.0 - cfg.beta1) * g
-                v[j] = cfg.beta2 * v[j] + (1.0 - cfg.beta2) * g * g
-                mh = m[j] / (1.0 - cfg.beta1**t)
-                vh = v[j] / (1.0 - cfg.beta2**t)
-                new.append(p - cfg.lr * mh / (np.sqrt(vh) + cfg.eps))
+                m[j] = BETA1 * m[j] + (1.0 - BETA1) * g
+                v[j] = BETA2 * v[j] + (1.0 - BETA2) * g * g
+                mh = m[j] / (1.0 - BETA1**t)
+                vh = v[j] / (1.0 - BETA2**t)
+                new.append(p - cfg.lr * mh / (np.sqrt(vh) + ADAM_EPS))
             if any(not np.isfinite(a).all() for a in new):
                 raise DivergedLoss(f"parameters became non-finite at step {t}")
             params = RegressorParams(*new)
@@ -417,26 +393,4 @@ def predict_ensemble(models, inputs, pitch: float = 1.0) -> PredictiveEnsemble:
     if not models:
         raise SizeMismatch("need at least one model")
     maps = [forward(p, inputs, pitch=pitch) for p in models]
-    return PredictiveEnsemble(tuple(maps), "deep-ensemble")
-
-
-def predict_mc_dropout(
-    params: RegressorParams,
-    inputs,
-    n_samples: int = 8,
-    dropout_rate: float = 0.1,
-    seed: int = 0,
-    pitch: float = 1.0,
-) -> PredictiveEnsemble:
-    """P stochastic forwards of a single model under sampled dropout."""
-    if n_samples < 1:
-        raise SizeMismatch(f"need at least one sample, got {n_samples}")
-    arr = _check_stack(inputs)
-    maps = []
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        mask = _sample_mask(1, dropout_rate, np.random.default_rng(child))
-        out, _ = _forward_batch(params, arr[None], mask)
-        maps.append(
-            PredictiveMap(RealRaster(out[0, 0], pitch), RealRaster(out[0, 1], pitch))
-        )
-    return PredictiveEnsemble(tuple(maps), "mc-dropout")
+    return PredictiveEnsemble(tuple(maps))

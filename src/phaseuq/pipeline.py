@@ -43,7 +43,6 @@ from .learner import (
     PredictiveMap,
     RegressorParams,
     SamplePair,
-    TrainConfig,
     forward,
     train_ensemble,
 )
@@ -58,7 +57,7 @@ from .optics import (
 )
 from .phantom import gaussian_bumps, resolution_target
 from .preprocess import PatchGrid, estimate_noise, normalize_unit, stitch_alpha_blend
-from .recon import MeasurementStack, SfpmConfig, dpc_reconstruct, sfpm_reconstruct
+from .recon import MeasurementStack, dpc_reconstruct, sfpm_reconstruct
 from .tensorfile import read_records, read_tensor, write_pgm16, write_records, write_tensor
 from .uqstats import (
     CredibilityMap,
@@ -286,9 +285,8 @@ def sfpm_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: boo
         )
     images = {led: RealRaster(arr[i], opt.pitch_detector) for i, led in enumerate(leds)}
     stack = MeasurementStack(images, geom, opt.na_obj)
-    scfg = SfpmConfig(cfg.sfpm.epochs, cfg.sfpm.step, cfg.sfpm.order, cfg.sfpm.init)
     residuals: list[float] = []
-    field = sfpm_reconstruct(stack, scfg, (opt.n_hires, opt.n_hires), residuals)
+    field = sfpm_reconstruct(stack, cfg.sfpm, (opt.n_hires, opt.n_hires), residuals)
     phase = np.angle(field.data)
 
     with _staged_run(out_root, "sfpm") as (staging, final):
@@ -417,26 +415,10 @@ def train_stage(cfg: ExperimentConfig, out_root, preprocess_dir, *, threads=None
     if not (xs.shape[0] == ys.shape[0] == split.shape[0]):
         raise ShapeMismatch("patch tensors disagree on the sample count")
     pairs = [
-        SamplePair(
-            xs[k],
-            ys[k],
-            split="validation" if split[k] > 0.5 else "train",
-            region="patch",
-            frame=k,
-            sample_id=f"patch-{k:04d}",
-        )
+        SamplePair(xs[k], ys[k], split="validation" if split[k] > 0.5 else "train")
         for k in range(xs.shape[0])
     ]
-    dataset = Dataset(pairs)
-    tcfg = TrainConfig(
-        lr=t.lr,
-        epochs=t.epochs,
-        batch_size=t.batch_size,
-        dropout_rate=t.dropout_rate,
-        seed=t.seed,
-        ensemble_size=t.ensemble_size,
-    )
-    models = train_ensemble(dataset, tcfg)
+    models = train_ensemble(Dataset(pairs), t)
 
     with _staged_run(out_root, "train") as (staging, final):
         shash = _settings_hash(cfg)
@@ -516,7 +498,7 @@ def analyze_stage(
         )
         for p in range(n_members)
     )
-    ens = PredictiveEnsemble(members, "deep-ensemble")
+    ens = PredictiveEnsemble(members)
     truth = RealRaster(ys.reshape(n_patches * h, w), 1.0)
 
     if a.policy == "background-noise":
@@ -524,9 +506,7 @@ def analyze_stage(
         sigma_bg = float(info["sigma_background"])
         epsilon = -sigma_bg * math.log1p(-a.target_p)
     else:
-        epsilon = a.epsilon
-        if not epsilon > 0.0:
-            raise ConfigError("analysis.epsilon must be positive under the explicit policy")
+        epsilon = a.epsilon  # positive under the explicit policy, checked at parse time
 
     maps = decompose_uncertainty(ens)
     cmap = credibility_map(ens, epsilon)

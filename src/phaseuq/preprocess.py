@@ -1,8 +1,8 @@
 """Phase-map conditioning.
 
 Unwrapping, dynamic-range clipping, [0, 1] normalization, background
-noise estimation, patch extraction, test-time mean equalization, and
-alpha-blend stitching. Everything here is pure and deterministic.
+noise estimation, patch extraction, and alpha-blend stitching. Everything
+here is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import (
     MaskTooSmall,
     NonFiniteInput,
     SizeMismatch,
-    ZeroMeanPatch,
 )
 from .grid import RealRaster
 
@@ -129,42 +128,26 @@ class PatchGrid:
     stride_w: int
     source_h: int
     source_w: int
-    origin_r: int = 0
-    origin_c: int = 0
 
     def __post_init__(self):
         if self.stride_h < 1 or self.stride_w < 1:
             raise NonFiniteInput("strides must be >= 1")
         if self.patch_h < 1 or self.patch_w < 1:
             raise NonFiniteInput("patch sizes must be >= 1")
-        if self.origin_r < 0 or self.origin_c < 0:
-            raise NonFiniteInput("origins must be >= 0")
-        if (
-            self.origin_r + self.patch_h > self.source_h
-            or self.origin_c + self.patch_w > self.source_w
-        ):
+        if self.patch_h > self.source_h or self.patch_w > self.source_w:
             raise SizeMismatch(
-                f"{self.patch_h}x{self.patch_w} patch at origin "
-                f"({self.origin_r}, {self.origin_c}) exceeds source "
+                f"{self.patch_h}x{self.patch_w} patch exceeds source "
                 f"{self.source_h}x{self.source_w}"
             )
 
-    def _starts(self, origin: int, patch: int, source: int, stride: int) -> list[int]:
-        span = source - origin - patch
-        count = -(-span // stride) + 1
-        return [min(origin + k * stride, source - patch) for k in range(count)]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self._starts(self.origin_r, self.patch_h, self.source_h, self.stride_h))
-
-    @property
-    def n_cols(self) -> int:
-        return len(self._starts(self.origin_c, self.patch_w, self.source_w, self.stride_w))
+    @staticmethod
+    def _starts(patch: int, source: int, stride: int) -> list[int]:
+        count = -(-(source - patch) // stride) + 1
+        return [min(k * stride, source - patch) for k in range(count)]
 
     def positions(self) -> list[tuple[int, int]]:
-        rows = self._starts(self.origin_r, self.patch_h, self.source_h, self.stride_h)
-        cols = self._starts(self.origin_c, self.patch_w, self.source_w, self.stride_w)
+        rows = self._starts(self.patch_h, self.source_h, self.stride_h)
+        cols = self._starts(self.patch_w, self.source_w, self.stride_w)
         return [(r, c) for r in rows for c in cols]
 
 
@@ -178,16 +161,6 @@ def extract_patches(x: RealRaster, grid: PatchGrid) -> list[RealRaster]:
         RealRaster(x.data[r : r + grid.patch_h, c : c + grid.patch_w].copy(), x.pitch)
         for r, c in grid.positions()
     ]
-
-
-def equalize_mean(patch: RealRaster, reference_mean: float) -> RealRaster:
-    """Scale so the patch mean matches the reference (intensity patches)."""
-    mean = float(patch.data.mean())
-    if mean <= 0.0:
-        raise ZeroMeanPatch(f"patch mean {mean} must be positive")
-    if reference_mean <= 0.0:
-        raise ZeroMeanPatch(f"reference mean {reference_mean} must be positive")
-    return RealRaster(patch.data * (reference_mean / mean), patch.pitch)
 
 
 def _ramp_profile(n: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SfpmConfig
 from .errors import (
     FrequencyOutOfGrid,
     InsufficientGrid,
@@ -40,33 +41,12 @@ from .optics import (
 )
 
 __all__ = [
-    "SfpmConfig",
     "MeasurementStack",
     "sfpm_reconstruct",
     "dpc_reconstruct",
     "dpc_deconvolve",
     "subtract_mean_phase",
 ]
-
-
-@dataclass(frozen=True)
-class SfpmConfig:
-    """Iteration hyperparameters for the sequential solver."""
-
-    epochs: int = 50
-    step: float = 1.0
-    order: str = "ascending-na"
-    init: str = "upsampled-brightfield"
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise NonFiniteInput(f"epochs must be >= 1, got {self.epochs}")
-        if not (0.0 < self.step <= 1.0):
-            raise NonFiniteInput(f"step must be in (0, 1], got {self.step}")
-        if self.order != "ascending-na":
-            raise NonFiniteInput(f"unknown LED order {self.order!r}")
-        if self.init not in ("flat", "upsampled-brightfield"):
-            raise NonFiniteInput(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ __all__ = [
     "ReliabilityBin",
     "ReliabilityDiagram",
     "laplace_cdf",
-    "predictive_mean",
     "decompose_uncertainty",
     "credibility_map",
     "credible_bound",
@@ -200,12 +199,6 @@ def laplace_cdf(y, mu, sigma):
     r = y - mu
     out = 0.5 + 0.5 * np.sign(r) * (1.0 - np.exp(-np.abs(r) / sigma))
     return float(out) if out.ndim == 0 else out
-
-
-def predictive_mean(ens: PredictiveEnsemble) -> RealRaster:
-    """Equal-weight mixture mean, mu_hat = mean over members of mu_p."""
-    mus, _ = _stacks(ens)
-    return RealRaster(mus.mean(axis=0), ens.members[0].mu.pitch)
 
 
 def decompose_uncertainty(ens: PredictiveEnsemble) -> UncertaintyMaps:

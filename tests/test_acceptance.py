@@ -21,14 +21,13 @@ from conftest import (
 )
 from phaseuq import pipeline
 from phaseuq.cli import DEMO_CONFIG
-from phaseuq.config import parse_config
+from phaseuq.config import SfpmConfig, TrainConfig, parse_config
 from phaseuq.grid import ComplexRaster, RealRaster, crop_center_spectrum, fft2_unitary, ifft2_unitary
 from phaseuq.learner import (
     Dataset,
     PredictiveEnsemble,
     PredictiveMap,
     RegressorParams,
-    TrainConfig,
     backward,
     forward,
     init_params,
@@ -58,7 +57,6 @@ from phaseuq.preprocess import (
 )
 from phaseuq.recon import (
     MeasurementStack,
-    SfpmConfig,
     dpc_reconstruct,
     sfpm_reconstruct,
     subtract_mean_phase,
@@ -273,7 +271,7 @@ def test_06_degenerate_ensemble_decomposition():
     mu = smooth_field(32, 3)
     sig = 0.05 + 0.1 * smooth_field(32, 4)
     member = PredictiveMap(RealRaster(mu), RealRaster(np.log(sig)))
-    ens = PredictiveEnsemble((member,) * 4, "deep-ensemble")
+    ens = PredictiveEnsemble((member,) * 4)
     maps = decompose_uncertainty(ens)
 
     model_max = float(np.max(np.abs(maps.model_sigma.data)))
@@ -306,7 +304,7 @@ def test_07_credibility_closed_forms():
     member = PredictiveMap(
         RealRaster(np.full((24, 24), 0.4)), RealRaster(np.full((24, 24), np.log(sigma0)))
     )
-    ens = PredictiveEnsemble((member,), "deep-ensemble")
+    ens = PredictiveEnsemble((member,))
 
     cred = credibility_map(ens, 3.0 * sigma0)
     cred_err = float(np.max(np.abs(cred.values.data - (1.0 - math.exp(-3.0)))))
@@ -342,7 +340,7 @@ def test_08_reliability_diagram_self_consistency():
     mu = rng.normal(size=shape)
     truth = RealRaster(rng.laplace(mu, sigma))
     member = PredictiveMap(RealRaster(mu), RealRaster(np.log(sigma)))
-    ens = PredictiveEnsemble((member,), "deep-ensemble")
+    ens = PredictiveEnsemble((member,))
 
     diagram = reliability_diagram(ens, truth, eps, delta_p=0.04)
     checked = sum(b.count for b in diagram.populated)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from phaseuq import pipeline
-from phaseuq.cli import main
+from phaseuq.cli import DEMO_CONFIG, main
 from phaseuq.config import parse_config
 from phaseuq.errors import DemoGateFailure
 from phaseuq.tensorfile import read_records, read_tensor
@@ -330,6 +330,52 @@ def test_cli_unknown_key_is_config_error(tmp_path, capsys):
     assert ERROR_LINE.match(err)
     assert "code=ConfigError" in err
     assert not (tmp_path / "r").exists()
+
+
+def test_cli_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    rc = main(["demo", "--out", str(out), "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
+    assert "code=ConfigError" in err
+    assert not out.exists()
+
+
+def test_cli_demo_bad_config_leaves_no_run(tmp_path, capsys):
+    bad = DEMO_CONFIG.replace("  lr 0.005\n", "  lr -1\n")
+    assert bad != DEMO_CONFIG
+    out = tmp_path / "r"
+    rc = main(["demo", "--config", _write_cfg(tmp_path, bad), "--out", str(out)])
+    err = capsys.readouterr().err.strip()
+    assert rc == 2 and ERROR_LINE.match(err) and "code=ConfigError" in err
+    assert not list(out.glob("demo-*"))
+
+
+def test_cli_out_is_a_file_fails_before_any_stage(tmp_path, capsys, monkeypatch):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran although --out is a regular file")
+
+    monkeypatch.setattr(pipeline, "simulate_stage", no_stage)
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    rc = main(["simulate", "--config", _write_cfg(tmp_path), "--out", str(afile)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
+    assert "code=ExistingArtifact" in err
+    assert afile.read_text(encoding="utf-8") == "keep"
+
+
+def test_cli_os_error_is_one_line(tmp_path, capsys):
+    # --out below a regular file: creating the output root fails with an OSError
+    afile = tmp_path / "afile"
+    afile.write_text("keep", encoding="utf-8")
+    rc = main(["simulate", "--config", _write_cfg(tmp_path), "--out", str(afile / "sub")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
+    assert "code=OSError" in err
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -118,6 +119,48 @@ def test_bad_enum_rejected():
 def test_unbalanced_braces_rejected():
     with pytest.raises(ConfigError):
         parse_config("noise {\n  level 1.0\n")
+
+
+def set_key(key, value):
+    """Canonical text of FULL with block.key set to value, added if absent."""
+    block, name = key.split(".")
+    out, current = [], None
+    for line in canonical_text(parse_config(FULL)).splitlines():
+        if line.endswith("{"):
+            current = line[:-2]
+        elif current == block and line.split()[0] == name:
+            continue
+        out.append(line)
+        if current == block and line.endswith("{"):
+            out.append(f"  {name} {value}")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("train.lr", "-1", "train.lr"),
+        ("train.lr", "inf", "train.lr"),
+        ("noise.level", "nan", "noise.level"),
+        ("optics.na_max", "0.05", "optics.na_max"),
+        ("sfpm.order", "raster", "sfpm.order"),
+        ("sfpm.step", "2", "sfpm.step"),
+        ("train.epochs", "0", "train.epochs"),
+        ("train.patch", "0", "train.patch"),
+        ("train.stride", "0", "train.stride"),
+        ("train.dropout_rate", "1.0", "train.dropout_rate"),
+        ("analysis.target_p", "1.5", "analysis.target_p"),
+        ("phantom.count", "0", "phantom.count"),
+        ("analysis.policy", "explicit", "analysis.epsilon"),  # epsilon stays 0
+        ("phantom.seed", "-1", "phantom.seed"),
+        ("noise.seed", "-1", "noise.seed"),
+        ("train.seed", "-1", "train.seed"),
+    ],
+)
+def test_out_of_range_value_rejected_at_parse(key, value, named):
+    # the message must name the key, so a malformed test config cannot pass
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config(set_key(key, value))
 
 
 def test_canonical_roundtrip():

@@ -9,7 +9,9 @@ import pytest
 from scipy.signal import convolve, correlate
 
 from conftest import bump_field, hetero_dataset, hetero_holdout, hetero_sigma
+from phaseuq.config import TrainConfig
 from phaseuq.errors import (
+    ConfigError,
     DivergedLoss,
     EmptyDataset,
     NonFiniteInput,
@@ -22,13 +24,11 @@ from phaseuq.learner import (
     PredictiveMap,
     RegressorParams,
     SamplePair,
-    TrainConfig,
     backward,
     forward,
     init_params,
     nll_loss,
     predict_ensemble,
-    predict_mc_dropout,
     train,
     train_ensemble,
 )
@@ -114,24 +114,14 @@ def test_forward_deterministic_without_dropout():
     assert np.array_equal(a.log_scale.data, b.log_scale.data)
 
 
-def test_forward_dropout_seed_reproducible():
-    x = np.random.default_rng(2).normal(size=(5, 10, 10))
-    params = init_params(4)
-    a = forward(params, x, dropout_rate=0.4, dropout_seed=7)
-    b = forward(params, x, dropout_rate=0.4, dropout_seed=7)
-    c = forward(params, x, dropout_rate=0.4, dropout_seed=8)
-    assert np.array_equal(a.mu.data, b.mu.data)
-    assert not np.array_equal(a.mu.data, c.mu.data)
-
-
 def test_forward_rejects_wrong_stack():
     with pytest.raises(ShapeMismatch):
         forward(init_params(0), np.zeros((4, 8, 8)))
 
 
-def test_forward_dropout_needs_seed():
+def test_backward_dropout_needs_seed():
     with pytest.raises(NonFiniteInput):
-        forward(init_params(0), np.zeros((5, 8, 8)), dropout_rate=0.2)
+        backward(init_params(0), np.zeros((5, 8, 8)), np.zeros((8, 8)), dropout_rate=0.2)
 
 
 # ---------------------------------------------------------------- nll_loss
@@ -418,37 +408,10 @@ def test_predict_ensemble_identical_members():
     params = init_params(0)
     x = np.random.default_rng(5).normal(size=(5, 9, 9))
     ens = predict_ensemble([params, params, params], x)
-    assert ens.source == "deep-ensemble"
     assert ens.size == 3
     for m in ens.members[1:]:
         assert np.array_equal(m.mu.data, ens.members[0].mu.data)
         assert np.array_equal(m.log_scale.data, ens.members[0].log_scale.data)
-
-
-def test_mc_dropout_rate_zero_collapses():
-    params = init_params(1)
-    x = np.random.default_rng(6).normal(size=(5, 9, 9))
-    ens = predict_mc_dropout(params, x, n_samples=4, dropout_rate=0.0, seed=3)
-    assert ens.source == "mc-dropout"
-    assert ens.size == 4
-    for m in ens.members[1:]:
-        assert np.array_equal(m.mu.data, ens.members[0].mu.data)
-
-
-def test_mc_dropout_samples_differ():
-    params = init_params(1)
-    x = np.random.default_rng(7).normal(size=(5, 9, 9))
-    ens = predict_mc_dropout(params, x, n_samples=4, dropout_rate=0.5, seed=3)
-    assert not np.array_equal(ens.members[0].mu.data, ens.members[1].mu.data)
-
-
-def test_mc_dropout_seed_reproducible():
-    params = init_params(1)
-    x = np.random.default_rng(8).normal(size=(5, 9, 9))
-    a = predict_mc_dropout(params, x, n_samples=3, dropout_rate=0.3, seed=9)
-    b = predict_mc_dropout(params, x, n_samples=3, dropout_rate=0.3, seed=9)
-    for ma, mb in zip(a.members, b.members):
-        assert np.array_equal(ma.mu.data, mb.mu.data)
 
 
 # ------------------------------------------------------------- validation
@@ -482,11 +445,11 @@ def test_dataset_split_filter():
 
 
 def test_train_config_validation():
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ConfigError):
         TrainConfig(lr=0.0)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ConfigError):
         TrainConfig(dropout_rate=1.0)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ConfigError):
         TrainConfig(ensemble_size=0)
 
 

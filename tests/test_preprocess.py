@@ -8,14 +8,12 @@ from phaseuq.errors import (
     MaskTooSmall,
     NonFiniteInput,
     SizeMismatch,
-    ZeroMeanPatch,
 )
 from phaseuq.grid import RealRaster
 from phaseuq.preprocess import (
     NoiseEstimate,
     PatchGrid,
     clip_dynamic_range,
-    equalize_mean,
     estimate_noise,
     extract_patches,
     normalize_unit,
@@ -175,8 +173,10 @@ def test_patch_grid_disjoint_tiling():
 
 def test_patch_grid_overlap_count():
     g = PatchGrid(32, 32, 16, 16, 64, 64)
-    assert g.n_rows == 3 and g.n_cols == 3
-    assert len(g.positions()) == 9
+    pos = g.positions()
+    assert sorted({r for r, _ in pos}) == [0, 16, 32]
+    assert sorted({c for _, c in pos}) == [0, 16, 32]
+    assert len(pos) == 9
 
 
 def test_patch_grid_border_clamp():
@@ -206,25 +206,6 @@ def test_patch_grid_validation():
         PatchGrid(65, 32, 16, 16, 64, 64)
     with pytest.raises(NonFiniteInput):
         PatchGrid(32, 32, 0, 16, 64, 64)
-
-
-# ---- mean equalization ----
-
-
-def test_equalize_mean_identity_and_target():
-    rng = np.random.default_rng(9)
-    patch = RealRaster(rng.uniform(0.5, 1.5, (16, 16)))
-    same = equalize_mean(patch, float(patch.data.mean()))
-    assert np.max(np.abs(same.data - patch.data)) < 1e-12
-    out = equalize_mean(patch, 2.0)
-    assert abs(out.data.mean() - 2.0) < 1e-12
-
-
-def test_equalize_mean_zero_mean_raises():
-    with pytest.raises(ZeroMeanPatch):
-        equalize_mean(RealRaster(np.zeros((8, 8))), 1.0)
-    with pytest.raises(ZeroMeanPatch):
-        equalize_mean(RealRaster(np.ones((8, 8))), 0.0)
 
 
 # ---- stitching ----

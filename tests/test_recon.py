@@ -7,7 +7,14 @@ import pytest
 
 from conftest import bump_field
 from phaseuq import recon
-from phaseuq.errors import InsufficientGrid, NonFiniteInput, SizeMismatch, ZeroMeanImage
+from phaseuq.config import SfpmConfig
+from phaseuq.errors import (
+    ConfigError,
+    InsufficientGrid,
+    NonFiniteInput,
+    SizeMismatch,
+    ZeroMeanImage,
+)
 from phaseuq.grid import (
     ComplexRaster,
     RealRaster,
@@ -25,7 +32,6 @@ from phaseuq.optics import (
 )
 from phaseuq.recon import (
     MeasurementStack,
-    SfpmConfig,
     dpc_deconvolve,
     dpc_reconstruct,
     sfpm_reconstruct,
@@ -208,13 +214,13 @@ def test_sfpm_insufficient_grid():
 
 
 def test_sfpm_config_validation():
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ConfigError):
         SfpmConfig(epochs=0)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ConfigError):
         SfpmConfig(step=0.0)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ConfigError):
         SfpmConfig(step=1.5)
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ConfigError):
         SfpmConfig(init="zeros")
 
 

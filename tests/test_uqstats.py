@@ -23,7 +23,6 @@ from phaseuq.uqstats import (
     credible_bound,
     decompose_uncertainty,
     laplace_cdf,
-    predictive_mean,
     reliability_diagram,
 )
 
@@ -34,8 +33,8 @@ def mk_map(mu, sigma, pitch=1.0):
     return PredictiveMap(RealRaster(mu, pitch), RealRaster(np.log(sigma), pitch))
 
 
-def mk_ensemble(members, source="deep-ensemble"):
-    return PredictiveEnsemble(tuple(members), source)
+def mk_ensemble(members):
+    return PredictiveEnsemble(tuple(members))
 
 
 def random_ensemble(seed, n=8, p=4):
@@ -80,14 +79,14 @@ def test_cdf_rejects_nonpositive_sigma():
         laplace_cdf(0.0, np.zeros(3), np.array([1.0, -0.1, 2.0]))
 
 
-# --------------------------------------------------------- predictive_mean
+# ------------------------------------------------------- mixture mean
 
 
 def test_mean_single_member_identity():
     rng = np.random.default_rng(0)
     mu = rng.normal(size=(5, 5))
     ens = mk_ensemble([mk_map(mu, np.ones((5, 5)))])
-    assert np.array_equal(predictive_mean(ens).data, mu)
+    assert np.array_equal(decompose_uncertainty(ens).mean.data, mu)
 
 
 def test_mean_two_members():
@@ -95,14 +94,17 @@ def test_mean_two_members():
         [mk_map(np.full((3, 3), 1.0), np.ones((3, 3))),
          mk_map(np.full((3, 3), 3.0), np.ones((3, 3)))]
     )
-    assert np.array_equal(predictive_mean(ens).data, np.full((3, 3), 2.0))
+    assert np.array_equal(decompose_uncertainty(ens).mean.data, np.full((3, 3), 2.0))
 
 
 def test_mean_reorder_invariant():
     ens = random_ensemble(3)
     flipped = mk_ensemble(ens.members[::-1])
     assert np.allclose(
-        predictive_mean(ens).data, predictive_mean(flipped).data, rtol=0, atol=1e-15
+        decompose_uncertainty(ens).mean.data,
+        decompose_uncertainty(flipped).mean.data,
+        rtol=0,
+        atol=1e-15,
     )
 
 
@@ -139,8 +141,10 @@ def test_decompose_sum_identity_random():
 
 
 def test_decompose_mean_matches_predictive_mean():
+    # the equal-weight mixture mean, mu_hat = mean over members of mu_p
     ens = random_ensemble(9)
-    assert np.array_equal(decompose_uncertainty(ens).mean.data, predictive_mean(ens).data)
+    mu_hat = np.mean([m.mu.data for m in ens.members], axis=0)
+    assert np.array_equal(decompose_uncertainty(ens).mean.data, mu_hat)
 
 
 # --------------------------------------------------------- credibility_map
