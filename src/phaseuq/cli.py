@@ -3,13 +3,14 @@
 One subcommand per pipeline stage plus ``demo``, which chains the whole
 pipeline on a built-in configuration and checks a credibility gate. Every
 invocation writes a fresh run directory under ``--out`` and prints its
-path; failures print a single machine-parsable line on stderr::
+path. Every command takes the same flags and reaches its stage through one
+call; failures print a single machine-parsable line on stderr::
 
     phaseuq-error code=<ErrorClass> message="..."
 
-Exit codes: 2 configuration problems, 3 missing input artifacts, 4 output
-collisions, 1 any other pipeline error or operating-system error (reported
-as ``code=OSError``).
+Exit codes: 2 configuration problems, 3 missing input artifacts, 4 an
+``--out`` that exists and is not a directory, 1 any other pipeline error
+or operating-system error (reported as ``code=OSError``).
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ analysis {
 _EXIT_CODES = {"ConfigError": 2, "MissingArtifact": 3, "ExistingArtifact": 4}
 
 _STAGE_INPUTS = {
+    "demo": (),
     "simulate": (),
     "sfpm": ("simulate_dir",),
     "dpc": ("simulate_dir",),
@@ -164,35 +166,20 @@ def _resolve_inputs(cfg: ExperimentConfig, command: str) -> list[Path]:
 
 def _dispatch(args) -> Path:
     command = args.command
-    if command == "demo":
-        cfg = _load(args.config) if args.config else parse_config(DEMO_CONFIG)
+    if command == "demo" and not args.config:
+        cfg = parse_config(DEMO_CONFIG)
     else:
         cfg = _load(args.config)
     cfg = _effective_config(cfg, args.seed)
-    out, pgm = args.out, args.export_pgm
+    out = args.out
     if Path(out).exists() and not Path(out).is_dir():
         raise ExistingArtifact(f"--out {out} exists and is not a directory")
-
+    # looked up at call time, so a wrapper set on the pipeline module is what runs
+    stage = getattr(pipeline, f"{command}_stage")
+    run = stage(cfg, out, *_resolve_inputs(cfg, command), export_pgm=args.export_pgm)
     if command == "demo":
-        run = pipeline.demo_stage(cfg, out, export_pgm=pgm)
         sys.stdout.write((run / "demo_report.txt").read_text(encoding="utf-8"))
-        return run
-    if command == "simulate":
-        return pipeline.simulate_stage(cfg, out, export_pgm=pgm)
-    if command == "train":
-        (pre,) = _resolve_inputs(cfg, command)
-        return pipeline.train_stage(cfg, out, pre)
-    stage = {
-        "sfpm": pipeline.sfpm_stage,
-        "dpc": pipeline.dpc_stage,
-        "preprocess": pipeline.preprocess_stage,
-        "analyze": pipeline.analyze_stage,
-        "stitch": pipeline.stitch_stage,
-    }.get(command)
-    if stage is not None:
-        return stage(cfg, out, *_resolve_inputs(cfg, command), export_pgm=pgm)
-    (pre, tr) = _resolve_inputs(cfg, command)
-    return pipeline.predict_stage(cfg, out, pre, tr)
+    return run
 
 
 def _report(code: str, exc: Exception) -> int:

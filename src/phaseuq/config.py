@@ -194,7 +194,8 @@ class AnalysisBlock:
             _positive("analysis.epsilon", self.epsilon)
         _fraction("analysis.target_p", self.target_p)
         # reliability bins are ((m-1) delta_p, m delta_p] for m = 1 .. 1/delta_p
-        n_bins = round(1.0 / self.delta_p) if 0.0 < self.delta_p <= 1.0 else 0
+        inverse = 1.0 / self.delta_p if 0.0 < self.delta_p <= 1.0 else 0.0
+        n_bins = round(inverse) if math.isfinite(inverse) else 0  # subnormals overflow
         _check(
             math.isclose(n_bins * self.delta_p, 1.0, rel_tol=0.0, abs_tol=1e-12),
             "analysis.delta_p",
@@ -229,6 +230,11 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
     analysis: AnalysisBlock = AnalysisBlock()
     paths: PathsBlock = PathsBlock()
+
+    def __post_init__(self):
+        if self.optics is not None:
+            n = self.optics.n_hires
+            _check(self.train.patch <= n, "train.patch", f"<= optics.n_hires={n}", self.train.patch)
 
 
 _BLOCK_TYPES = {
@@ -329,7 +335,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return parse_config(text)
 

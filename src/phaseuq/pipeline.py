@@ -1,19 +1,23 @@
 """Staged experiment pipeline behind the command line.
 
-Each stage reads tensors from earlier run directories and writes a fresh
-run directory ``<stage>-NNN`` under the output root. Artifacts land in a
-hidden staging directory first and the finished directory is renamed into
-place, so an interrupted run never leaves a partial stage behind and
-existing runs are never touched. Every run carries a ``manifest.txt``
-(stage name, configuration hash, effective seeds, library versions);
-timestamps and absolute paths stay out of it so identical invocations
-produce byte-identical trees.
+Every stage has the signature ``(cfg, out_root, *input_dirs, export_pgm=False)``:
+it reads tensors from earlier run directories and writes a fresh run
+directory ``<stage>-NNN`` under the output root. One context manager,
+``_run``, owns that protocol. Artifacts land in a hidden staging
+directory, the ``manifest.txt`` is written last (stage name,
+configuration hash, input run names, effective seeds, library versions),
+and only then is the next free ``NNN`` chosen and the staging directory
+renamed to it. A run that loses that name to a concurrent run on the same
+root takes the next one, an interrupted run leaves nothing behind, and
+existing runs are never touched. Timestamps and absolute paths stay out
+of every file, so identical invocations produce byte-identical trees.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import math
 import os
 import platform
@@ -29,7 +33,6 @@ from .config import ExperimentConfig, PathsBlock, config_hash
 from .errors import (
     ConfigError,
     DemoGateFailure,
-    ExistingArtifact,
     FormatError,
     MissingArtifact,
     ShapeMismatch,
@@ -93,78 +96,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in rows:
-            fh.write(f"{key} {_fmt(value)}\n")
+def _row_lines(rows) -> list[str]:
+    return [f"{key} {_fmt(value)}" for key, value in rows]
 
 
-def _read_lines(path) -> dict[str, str]:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingArtifact(f"{path} not found")
+def _parse_lines(text: str) -> dict[str, str]:
+    """The ``key value`` rows of a text file or tensor metadata block."""
     out: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         if line.strip():
             key, _, value = line.partition(" ")
             out[key] = value
     return out
 
 
-def _begin_run(out_root, stage: str) -> tuple[Path, Path]:
-    root = Path(out_root)
-    root.mkdir(parents=True, exist_ok=True)
-    last = 0
-    for entry in root.iterdir():
-        if entry.is_dir() and entry.name.startswith(stage + "-"):
-            tail = entry.name[len(stage) + 1 :]
-            if tail.isdigit():
-                last = max(last, int(tail))
-    final = root / f"{stage}-{last + 1:03d}"
-    staging = Path(tempfile.mkdtemp(prefix=f".{stage}-", dir=root))
-    return staging, final
-
-
-def _commit_run(staging: Path, final: Path) -> Path:
-    try:
-        os.replace(staging, final)
-    except OSError as exc:
-        raise ExistingArtifact(f"run directory {final} already exists") from exc
-    return final
-
-
-@contextlib.contextmanager
-def _staged_run(out_root, stage: str):
-    """Yield a staging directory that vanishes unless the run commits."""
-    staging, final = _begin_run(out_root, stage)
-    try:
-        yield staging, final
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-
-
-def _settings_hash(cfg: ExperimentConfig) -> str:
-    # input locations do not affect the artifacts, so they stay out of the hash
-    return config_hash(dataclasses.replace(cfg, paths=PathsBlock()))
-
-
-def _manifest(staging, stage, cfg, inputs=None, seeds=None) -> None:
-    rows: list[tuple[str, object]] = [
-        ("stage", stage),
-        ("config_sha256", _settings_hash(cfg)),
-    ]
-    for key, path in sorted((inputs or {}).items()):
-        rows.append((f"input_{key}", Path(path).name))
-    for key, value in sorted((seeds or {}).items()):
-        rows.append((f"seed_{key}", value))
-    rows += [
-        ("version_phaseuq", __version__),
-        ("version_numpy", np.__version__),
-        ("version_scipy", scipy.__version__),
-        ("version_python", platform.python_version()),
-    ]
-    _write_lines(staging / "manifest.txt", rows)
+def _read_lines(path) -> dict[str, str]:
+    path = Path(path)
+    if not path.is_file():
+        raise MissingArtifact(f"{path} not found")
+    return _parse_lines(path.read_text(encoding="utf-8"))
 
 
 def _load(run_dir, name: str) -> tuple[np.ndarray, dict[str, str]]:
@@ -172,20 +122,80 @@ def _load(run_dir, name: str) -> tuple[np.ndarray, dict[str, str]]:
     if not path.is_file():
         raise MissingArtifact(f"{path} not found")
     array, meta = read_tensor(path)
-    info: dict[str, str] = {}
-    for line in meta.splitlines():
-        if line.strip():
-            key, _, value = line.partition(" ")
-            info[key] = value
-    return array, info
+    return array, _parse_lines(meta)
 
 
-def _save(staging, name, array, meta_rows=(), export_pgm=False) -> None:
-    arr = np.asarray(array, dtype=np.float64)
-    meta = "\n".join(f"{k} {_fmt(v)}" for k, v in meta_rows)
-    write_tensor(Path(staging) / name, arr, meta)
-    if export_pgm and arr.ndim == 2:
-        write_pgm16(Path(staging) / (name.rsplit(".", 1)[0] + ".pgm"), arr)
+def _settings_hash(cfg: ExperimentConfig) -> str:
+    # input locations do not affect the artifacts, so they stay out of the hash
+    return config_hash(dataclasses.replace(cfg, paths=PathsBlock()))
+
+
+class _Run:
+    """A run directory being written; ``path`` is set once it is committed."""
+
+    def __init__(self, staging: Path, export_pgm: bool):
+        self.dir = staging
+        self.export_pgm = export_pgm
+        self.path: Path | None = None
+
+    def save(self, name: str, array, meta_rows=(), preview: bool = False) -> None:
+        """Write a float64 tensor, plus a 16-bit PGM of a 2-D preview under --export-pgm."""
+        arr = np.asarray(array, dtype=np.float64)
+        write_tensor(self.dir / name, arr, "\n".join(_row_lines(meta_rows)))
+        if preview and self.export_pgm:
+            write_pgm16(self.dir / (name.rsplit(".", 1)[0] + ".pgm"), arr)
+
+    def lines(self, name: str, rows) -> None:
+        with open(self.dir / name, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in _row_lines(rows))
+
+
+def _last_number(root: Path, stage: str) -> int:
+    last = 0
+    for entry in root.iterdir():
+        tail = entry.name[len(stage) + 1 :]
+        if entry.name.startswith(stage + "-") and tail.isdigit():
+            last = max(last, int(tail))
+    return last
+
+
+@contextlib.contextmanager
+def _run(out_root, stage: str, cfg, inputs=None, seeds=None, export_pgm=False):
+    """Yield a ``_Run`` in a staging directory; commit it as ``<stage>-NNN`` on exit.
+
+    The number is chosen at commit, after the manifest is written. If a
+    concurrent run takes that name first, the rename fails and the next
+    free number is tried. On an exception the staging directory is removed.
+    """
+    root = Path(out_root)
+    root.mkdir(parents=True, exist_ok=True)
+    run = _Run(Path(tempfile.mkdtemp(prefix=f".{stage}-", dir=root)), export_pgm)
+    try:
+        yield run
+        rows: list[tuple[str, object]] = [
+            ("stage", stage),
+            ("config_sha256", _settings_hash(cfg)),
+        ]
+        rows += [(f"input_{k}", Path(v).name) for k, v in sorted((inputs or {}).items())]
+        rows += [(f"seed_{k}", v) for k, v in sorted((seeds or {}).items())]
+        rows += [
+            ("version_phaseuq", __version__),
+            ("version_numpy", np.__version__),
+            ("version_scipy", scipy.__version__),
+            ("version_python", platform.python_version()),
+        ]
+        run.lines("manifest.txt", rows)
+        while run.path is None:
+            final = root / f"{stage}-{_last_number(root, stage) + 1:03d}"
+            try:
+                os.rename(run.dir, final)
+                run.path = final
+            except OSError as exc:
+                if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                    raise
+    except BaseException:
+        shutil.rmtree(run.dir, ignore_errors=True)
+        raise
 
 
 def _require(block, name: str):
@@ -247,30 +257,20 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
             )
         mux.append(img.data)
 
-    with _staged_run(out_root, "simulate") as (staging, final):
-        _save(
-            staging,
-            "phantom_phase.puqt",
-            phi.data,
-            [("pitch", hp), ("kind", ph.kind)],
-            export_pgm,
-        )
-        _save(
-            staging,
+    seeds = {"phantom": ph.seed, "noise": cfg.noise.seed}
+    with _run(out_root, "simulate", cfg, seeds=seeds, export_pgm=export_pgm) as run:
+        run.save("phantom_phase.puqt", phi.data, [("pitch", hp), ("kind", ph.kind)], preview=True)
+        run.save(
             "led_stack.puqt",
             np.stack(stack),
             [("pitch", opt.pitch_detector), ("leds", " ".join(str(led) for led in leds))],
         )
-        _save(
-            staging,
+        run.save(
             "multiplexed.puqt",
             np.stack(mux),
             [("pitch", opt.pitch_detector), ("patterns", " ".join(p.label for p in patterns))],
         )
-        _manifest(
-            staging, "simulate", cfg, seeds={"phantom": ph.seed, "noise": cfg.noise.seed}
-        )
-        return _commit_run(staging, final)
+    return run.path
 
 
 def sfpm_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: bool = False) -> Path:
@@ -289,19 +289,11 @@ def sfpm_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: boo
     field = sfpm_reconstruct(stack, cfg.sfpm, (opt.n_hires, opt.n_hires), residuals)
     phase = np.angle(field.data)
 
-    with _staged_run(out_root, "sfpm") as (staging, final):
-        _save(
-            staging,
-            "phase.puqt",
-            phase,
-            [("pitch", _hires_pitch(cfg)), ("method", "sfpm")],
-            export_pgm,
-        )
-        _write_lines(
-            staging / "residuals.txt", [(str(i), r) for i, r in enumerate(residuals)]
-        )
-        _manifest(staging, "sfpm", cfg, inputs={"simulate": simulate_dir})
-        return _commit_run(staging, final)
+    with _run(out_root, "sfpm", cfg, {"simulate": simulate_dir}, export_pgm=export_pgm) as run:
+        meta = [("pitch", _hires_pitch(cfg)), ("method", "sfpm")]
+        run.save("phase.puqt", phase, meta, preview=True)
+        run.lines("residuals.txt", [(str(i), r) for i, r in enumerate(residuals)])
+    return run.path
 
 
 def dpc_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: bool = False) -> Path:
@@ -317,16 +309,10 @@ def dpc_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: bool
     pupil = make_pupil(opt.na_obj, geom.wavelength, arr.shape[1:], opt.pitch_detector)
     phase = dpc_reconstruct(bf, patterns[:2], pupil, geom)
 
-    with _staged_run(out_root, "dpc") as (staging, final):
-        _save(
-            staging,
-            "phase.puqt",
-            phase.data,
-            [("pitch", opt.pitch_detector), ("method", "dpc")],
-            export_pgm,
-        )
-        _manifest(staging, "dpc", cfg, inputs={"simulate": simulate_dir})
-        return _commit_run(staging, final)
+    with _run(out_root, "dpc", cfg, {"simulate": simulate_dir}, export_pgm=export_pgm) as run:
+        meta = [("pitch", opt.pitch_detector), ("method", "dpc")]
+        run.save("phase.puqt", phase.data, meta, preview=True)
+    return run.path
 
 
 def preprocess_stage(
@@ -371,40 +357,39 @@ def preprocess_stage(
     )
     split = np.array([1.0 if k % 4 == 3 else 0.0 for k in range(len(positions))])
 
-    with _staged_run(out_root, "preprocess") as (staging, final):
-        _save(staging, "truth_normalized.puqt", truth_norm.data, [("pitch", hp)], export_pgm)
-        _save(staging, "recon_normalized.puqt", recon_norm, [("pitch", hp)], export_pgm)
-        _save(staging, "inputs_normalized.puqt", inputs, [("pitch", hp)])
-        _save(
-            staging,
+    sources = {"simulate": simulate_dir, "recon": recon_dir}
+    with _run(out_root, "preprocess", cfg, sources, export_pgm=export_pgm) as run:
+        run.save("truth_normalized.puqt", truth_norm.data, [("pitch", hp)], preview=True)
+        run.save("recon_normalized.puqt", recon_norm, [("pitch", hp)], preview=True)
+        run.save("inputs_normalized.puqt", inputs, [("pitch", hp)])
+        run.save(
             "background_mask.puqt",
             mask.astype(float),
             [("pitch", hp), ("threshold", cfg.analysis.background_threshold)],
-            export_pgm,
+            preview=True,
         )
-        _save(staging, "patches_inputs.puqt", patch_inputs, [("layout", "patch channel row col")])
-        _save(staging, "patches_targets.puqt", targets, [("layout", "patch row col")])
-        _save(
-            staging,
+        run.save("patches_inputs.puqt", patch_inputs, [("layout", "patch channel row col")])
+        run.save("patches_targets.puqt", targets, [("layout", "patch row col")])
+        run.save(
             "patches_positions.puqt",
             np.asarray(positions, dtype=np.float64),
             [("layout", "patch (row col)")],
         )
-        _save(staging, "patches_split.puqt", split, [("encoding", "0=train 1=validation")])
-        _write_lines(staging / "norm.txt", [("scale", scale), ("offset", offset)])
-        _write_lines(
-            staging / "noise.txt",
+        run.save("patches_split.puqt", split, [("encoding", "0=train 1=validation")])
+        run.lines("norm.txt", [("scale", scale), ("offset", offset)])
+        run.lines(
+            "noise.txt",
             [("sigma_background", noise.sigma_background), ("pixel_count", noise.pixel_count)],
         )
-        _manifest(
-            staging, "preprocess", cfg, inputs={"simulate": simulate_dir, "recon": recon_dir}
-        )
-        return _commit_run(staging, final)
+    return run.path
 
 
-def train_stage(cfg: ExperimentConfig, out_root, preprocess_dir, *, threads=None) -> Path:
+def train_stage(
+    cfg: ExperimentConfig, out_root, preprocess_dir, *, export_pgm: bool = False, threads=None
+) -> Path:
     """Fit the deep ensemble on the training patches, one checkpoint each.
 
+    Checkpoints have no 2-D preview, so export_pgm writes nothing here.
     threads is accepted for older callers and ignored: members train one
     after another, and only the BLAS library's own threads run in parallel.
     """
@@ -420,7 +405,8 @@ def train_stage(cfg: ExperimentConfig, out_root, preprocess_dir, *, threads=None
     ]
     models = train_ensemble(Dataset(pairs), t)
 
-    with _staged_run(out_root, "train") as (staging, final):
+    inputs, seeds = {"preprocess": preprocess_dir}, {"train": t.seed}
+    with _run(out_root, "train", cfg, inputs, seeds, export_pgm) as run:
         shash = _settings_hash(cfg)
         for p, params in enumerate(models):
             header = f"arch {ARCH_ID}\nmember {p}\nseed {t.seed + p}\nconfig_sha256 {shash}"
@@ -428,15 +414,8 @@ def train_stage(cfg: ExperimentConfig, out_root, preprocess_dir, *, threads=None
                 (name, arr, header if name == "k1" else "")
                 for name, arr in zip(CHECKPOINT_RECORDS, params.as_list())
             ]
-            write_records(staging / f"checkpoint_{p:03d}.puqt", records)
-        _manifest(
-            staging,
-            "train",
-            cfg,
-            inputs={"preprocess": preprocess_dir},
-            seeds={"train": t.seed},
-        )
-        return _commit_run(staging, final)
+            write_records(run.dir / f"checkpoint_{p:03d}.puqt", records)
+    return run.path
 
 
 def _load_checkpoint(path) -> RegressorParams:
@@ -450,8 +429,10 @@ def _load_checkpoint(path) -> RegressorParams:
     return RegressorParams(*[np.asarray(arr, dtype=np.float64) for _, arr, _ in records])
 
 
-def predict_stage(cfg: ExperimentConfig, out_root, preprocess_dir, train_dir) -> Path:
-    """Per-member predictive maps over all patches."""
+def predict_stage(
+    cfg: ExperimentConfig, out_root, preprocess_dir, train_dir, *, export_pgm: bool = False
+) -> Path:
+    """Per-member predictive maps over all patches (rank 4, so no PGM previews)."""
     xs, _ = _load(preprocess_dir, "patches_inputs.puqt")
     paths = sorted(Path(train_dir).glob("checkpoint_*.puqt"))
     if not paths:
@@ -467,14 +448,12 @@ def predict_stage(cfg: ExperimentConfig, out_root, preprocess_dir, train_dir) ->
             mu[p, k] = pred.mu.data
             sigma[p, k] = pred.sigma
 
-    with _staged_run(out_root, "predict") as (staging, final):
+    inputs = {"preprocess": preprocess_dir, "train": train_dir}
+    with _run(out_root, "predict", cfg, inputs, export_pgm=export_pgm) as run:
         layout = [("layout", "member patch row col")]
-        _save(staging, "mu.puqt", mu, layout)
-        _save(staging, "sigma.puqt", sigma, layout)
-        _manifest(
-            staging, "predict", cfg, inputs={"preprocess": preprocess_dir, "train": train_dir}
-        )
-        return _commit_run(staging, final)
+        run.save("mu.puqt", mu, layout)
+        run.save("sigma.puqt", sigma, layout)
+    return run.path
 
 
 def analyze_stage(
@@ -514,7 +493,8 @@ def analyze_stage(
     diagram = reliability_diagram(ens, truth, epsilon, a.delta_p)
     abs_error = np.abs(maps.mean.data - truth.data)
 
-    with _staged_run(out_root, "analyze") as (staging, final):
+    inputs = {"preprocess": preprocess_dir, "predict": predict_dir}
+    with _run(out_root, "analyze", cfg, inputs, export_pgm=export_pgm) as run:
         layout = [("layout", "patch row col")]
         folded = {
             "mean": maps.mean.data,
@@ -526,8 +506,8 @@ def analyze_stage(
             "abs_error": abs_error,
         }
         for name in ANALYSIS_MAPS:
-            _save(staging, f"{name}.puqt", folded[name].reshape(n_patches, h, w), layout)
-        diagram.to_csv(staging / "reliability.csv")
+            run.save(f"{name}.puqt", folded[name].reshape(n_patches, h, w), layout)
+        diagram.to_csv(run.dir / "reliability.csv")
         rows = [
             ("policy", a.policy),
             ("epsilon", epsilon),
@@ -539,11 +519,8 @@ def analyze_stage(
         ]
         if a.policy == "background-noise":
             rows.insert(2, ("sigma_background", sigma_bg))
-        _write_lines(staging / "analysis.txt", rows)
-        _manifest(
-            staging, "analyze", cfg, inputs={"preprocess": preprocess_dir, "predict": predict_dir}
-        )
-        return _commit_run(staging, final)
+        run.lines("analysis.txt", rows)
+    return run.path
 
 
 def stitch_stage(
@@ -584,11 +561,12 @@ def stitch_stage(
         else float("nan")
     )
 
-    with _staged_run(out_root, "stitch") as (staging, final):
+    inputs = {"preprocess": preprocess_dir, "analyze": analyze_dir}
+    with _run(out_root, "stitch", cfg, inputs, export_pgm=export_pgm) as run:
         for name, raster in stitched.items():
-            _save(staging, f"stitched_{name}.puqt", raster.data, [("pitch", hp)], export_pgm)
-        _write_lines(
-            staging / "summary.txt",
+            run.save(f"stitched_{name}.puqt", raster.data, [("pitch", hp)], preview=True)
+        run.lines(
+            "summary.txt",
             [
                 ("epsilon", epsilon),
                 ("avg_credibility_full", region_mean(np.ones((n, n), dtype=bool))),
@@ -598,10 +576,7 @@ def stitch_stage(
                 ("gate_credibility_level", DEMO_GATE_CREDIBILITY),
             ],
         )
-        _manifest(
-            staging, "stitch", cfg, inputs={"preprocess": preprocess_dir, "analyze": analyze_dir}
-        )
-        return _commit_run(staging, final)
+    return run.path
 
 
 def demo_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False) -> Path:
@@ -613,20 +588,22 @@ def demo_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False) -> 
     commits the run directory so the artifacts can be inspected.
     """
     ph = _require(cfg.phantom, "phantom")
-    with _staged_run(out_root, "demo") as (staging, final):
-        sim = simulate_stage(cfg, staging, export_pgm=export_pgm)
-        rec = sfpm_stage(cfg, staging, sim, export_pgm=export_pgm)
-        pre = preprocess_stage(cfg, staging, sim, rec, export_pgm=export_pgm)
-        tr = train_stage(cfg, staging, pre)
-        prd = predict_stage(cfg, staging, pre, tr)
-        ana = analyze_stage(cfg, staging, pre, prd, export_pgm=export_pgm)
-        st = stitch_stage(cfg, staging, pre, ana, export_pgm=export_pgm)
+    seeds = {"phantom": ph.seed, "noise": cfg.noise.seed, "train": cfg.train.seed}
+    with _run(out_root, "demo", cfg, seeds=seeds, export_pgm=export_pgm) as run:
+        root = run.dir
+        sim = simulate_stage(cfg, root, export_pgm=export_pgm)
+        rec = sfpm_stage(cfg, root, sim, export_pgm=export_pgm)
+        pre = preprocess_stage(cfg, root, sim, rec, export_pgm=export_pgm)
+        tr = train_stage(cfg, root, pre, export_pgm=export_pgm)
+        prd = predict_stage(cfg, root, pre, tr, export_pgm=export_pgm)
+        ana = analyze_stage(cfg, root, pre, prd, export_pgm=export_pgm)
+        st = stitch_stage(cfg, root, pre, ana, export_pgm=export_pgm)
 
         info = _read_lines(st / "summary.txt")
         frac = float(info["background_fraction_high"])
         passed = frac >= DEMO_GATE_FRACTION
-        _write_lines(
-            staging / "demo_report.txt",
+        run.lines(
+            "demo_report.txt",
             [
                 ("gate", "pass" if passed else "fail"),
                 ("gate_fraction_required", DEMO_GATE_FRACTION),
@@ -637,16 +614,9 @@ def demo_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False) -> 
                 ("epsilon", float(info["epsilon"])),
             ],
         )
-        _manifest(
-            staging,
-            "demo",
-            cfg,
-            seeds={"phantom": ph.seed, "noise": cfg.noise.seed, "train": cfg.train.seed},
+    if not passed:
+        raise DemoGateFailure(
+            f"only {frac:.4f} of background pixels reached credibility > "
+            f"{DEMO_GATE_CREDIBILITY} (need {DEMO_GATE_FRACTION}); see {run.path}"
         )
-        run = _commit_run(staging, final)
-        if not passed:
-            raise DemoGateFailure(
-                f"only {frac:.4f} of background pixels reached credibility > "
-                f"{DEMO_GATE_CREDIBILITY} (need {DEMO_GATE_FRACTION}); see {run}"
-            )
-        return run
+    return run.path

@@ -6,7 +6,7 @@ Single-record layout, all little-endian:
     version u8       1
     dtype   u8       1 = float32, 2 = float64
     rank    u8
-    dims    rank x u32
+    dims    rank x u32, each >= 1
     payload product(dims) x itemsize bytes, row-major
     meta    optional: u32 byte length + UTF-8 text
 
@@ -18,6 +18,7 @@ whose first line is the record name, optionally followed by free text.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -64,9 +65,11 @@ def _decode(blob: bytes, offset: int, path) -> tuple[np.ndarray, str, int]:
     if len(blob) < offset + 4 * rank:
         raise FormatError(f"{path}: truncated dimension header")
     dims = struct.unpack_from(f"<{rank}I", blob, offset)
+    if min(dims) < 1:
+        raise FormatError(f"{path}: dims {dims} hold an empty axis")
     offset += 4 * rank
     dtype = _DTYPE_CODES[code]
-    n_items = int(np.prod(dims))
+    n_items = math.prod(dims)  # a Python int: u32 dims must not wrap around
     n_bytes = n_items * dtype.itemsize
     if len(blob) < offset + n_bytes:
         raise FormatError(

@@ -17,7 +17,7 @@ from phaseuq import pipeline
 from phaseuq.cli import DEMO_CONFIG, main
 from phaseuq.config import parse_config
 from phaseuq.errors import DemoGateFailure
-from phaseuq.tensorfile import read_records, read_tensor
+from phaseuq.tensorfile import read_records, read_tensor, write_tensor
 
 SMALL = """
 geometry {
@@ -143,6 +143,38 @@ def test_runs_are_sequential_and_immutable(cfg, tmp_path):
     # identical settings give identical artifacts in the new directory
     for name, blob in snapshot.items():
         assert (second / name).read_bytes() == blob
+
+
+def test_run_takes_next_number_when_name_taken_at_commit(cfg, tmp_path, monkeypatch):
+    """A run that loses its number to a concurrent commit takes the next one."""
+    rename = os.rename
+    taken = tmp_path / "simulate-001"
+
+    def commit_elsewhere_first(src, dst):
+        if not taken.exists():
+            taken.mkdir()
+            (taken / "manifest.txt").write_text("stage other\n", encoding="utf-8")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", commit_elsewhere_first)
+    run = pipeline.simulate_stage(cfg, tmp_path)
+    assert run == tmp_path / "simulate-002"
+    assert (run / "phantom_phase.puqt").is_file()
+    assert [p.name for p in taken.iterdir()] == ["manifest.txt"]
+    assert (taken / "manifest.txt").read_text(encoding="utf-8") == "stage other\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["simulate-001", "simulate-002"]
+
+
+def test_failed_run_leaves_no_staging(cfg, tmp_path, monkeypatch):
+    def fail_on_second_tensor(path, array, metadata=""):
+        if Path(path).name != "phantom_phase.puqt":
+            raise OSError("disk full")
+        write_tensor(path, array, metadata)
+
+    monkeypatch.setattr(pipeline, "write_tensor", fail_on_second_tensor)
+    with pytest.raises(OSError, match="disk full"):
+        pipeline.simulate_stage(cfg, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sfpm_stage_output(chain):
@@ -376,6 +408,67 @@ def test_cli_os_error_is_one_line(tmp_path, capsys):
     assert rc == 1
     assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
     assert "code=OSError" in err
+
+
+def test_cli_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(SMALL.encode("utf-8") + b"# \xff\n")
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
+    assert "code=ConfigError" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_patch_larger_than_field_is_config_error(tmp_path, capsys):
+    bad = DEMO_CONFIG.replace("  patch 16\n", "  patch 256\n")
+    assert bad != DEMO_CONFIG
+    out = tmp_path / "r"
+    rc = main(["demo", "--config", _write_cfg(tmp_path, bad), "--out", str(out)])
+    err = capsys.readouterr().err.strip()
+    assert rc == 2 and ERROR_LINE.match(err) and "code=ConfigError" in err
+    assert "train.patch" in err and "optics.n_hires" in err
+    assert not list(out.glob("demo-*"))
+
+
+def test_cli_concurrent_demos_both_commit(tmp_path):
+    """Two demos on one --out, started together, both commit under their own numbers."""
+    tiny = SMALL.replace("sfpm {\n  epochs 8", "sfpm {\n  epochs 2").replace(
+        "  epochs 8\n  batch_size", "  epochs 1\n  batch_size"
+    )
+    assert tiny.count("epochs 2") == 1 and tiny.count("epochs 1\n") == 1
+    config = _write_cfg(tmp_path, tiny)
+    out = tmp_path / "runs"
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "phaseuq.cli", "demo", "--config", config, "--out", str(out)]
+    procs = [
+        subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    try:
+        results = [proc.communicate(timeout=300) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    for proc, (_, err) in zip(procs, results):
+        assert "ExistingArtifact" not in err
+        # the gate may fail at one training epoch; the run is committed either way
+        assert proc.returncode == 0 or "code=DemoGateFailure" in err, err
+    assert sorted(p.name for p in out.iterdir()) == ["demo-001", "demo-002"]
+    for run in out.iterdir():
+        assert (run / "demo_report.txt").is_file() and (run / "manifest.txt").is_file()
+
+
+def test_cli_train_export_pgm_writes_no_preview(chain, tmp_path, capsys):
+    text = SMALL + f'\npaths {{\n  preprocess_dir {chain["preprocess"]}\n}}\n'
+    out = tmp_path / "r"
+    rc = main(["train", "--config", _write_cfg(tmp_path, text), "--out", str(out), "--export-pgm"])
+    assert rc == 0
+    files = sorted(p.name for p in (out / "train-001").iterdir())
+    assert files == ["checkpoint_000.puqt", "checkpoint_001.puqt", "manifest.txt"]
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

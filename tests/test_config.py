@@ -155,6 +155,8 @@ def set_key(key, value):
         ("phantom.seed", "-1", "phantom.seed"),
         ("noise.seed", "-1", "noise.seed"),
         ("train.seed", "-1", "train.seed"),
+        ("analysis.delta_p", "1e-320", "analysis.delta_p"),  # 1/delta_p overflows
+        ("train.patch", "256", "train.patch must be <= optics.n_hires"),
     ],
 )
 def test_out_of_range_value_rejected_at_parse(key, value, named):
@@ -247,6 +249,22 @@ def test_tensor_rejects_rank_zero_record(tmp_path):
     path = tmp_path / "a.puqt"
     path.write_bytes(b"PUQT" + struct.pack("<BBB", 1, 2, 0) + struct.pack("<d", 1.0))
     with pytest.raises(FormatError):
+        read_tensor(path)
+
+
+def test_tensor_rejects_dims_whose_product_wraps(tmp_path):
+    # 2**31 * 2**31 * 4 is 0 in int64: the payload size must not wrap around
+    path = tmp_path / "a.puqt"
+    dims = (2**31, 2**31, 4)
+    path.write_bytes(b"PUQT" + struct.pack("<BBB3I", 1, 2, 3, *dims) + struct.pack("<d", 1.0))
+    with pytest.raises(FormatError, match="need"):
+        read_tensor(path)
+
+
+def test_tensor_rejects_empty_axis(tmp_path):
+    path = tmp_path / "a.puqt"
+    path.write_bytes(b"PUQT" + struct.pack("<BBB2I", 1, 2, 2, 3, 0))
+    with pytest.raises(FormatError, match="empty axis"):
         read_tensor(path)
 
 
