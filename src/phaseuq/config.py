@@ -8,12 +8,14 @@ Syntax, one item per line:
       key value
     }
 
-Blocks hold key/value leaves; values are typed by a fixed per-block
-schema. Unknown blocks or keys are errors, as are duplicates: silent
-misconfiguration is worse than a loud one.
+Blocks hold key/value leaves and do not nest, and every key sits inside a
+block; values are typed by a fixed per-block schema. Unknown blocks or
+keys are errors, as are duplicates: silent misconfiguration is worse than
+a loud one.
 
 Each block is one frozen dataclass, and the library takes these as they
-are (``TrainConfig`` for training, ``SfpmConfig`` for the sfpm solver).
+are (``GeometryBlock`` as the LED array, ``TrainConfig`` for training,
+``SfpmConfig`` for the sfpm solver).
 Every block checks its ranges in ``__post_init__``, so a bad value raises
 ConfigError when the config is parsed, or when a block is rebuilt with
 ``dataclasses.replace``, before any stage runs.
@@ -21,11 +23,12 @@ ConfigError when the config is parsed, or when a block is rebuilt with
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, IndexOutOfRange
 
 _PHANTOM_KINDS = ("gaussian-bumps", "resolution-target")
 _NOISE_MODELS = ("gaussian", "poisson", "none")
@@ -64,6 +67,12 @@ def _one_of(key: str, value: str, choices: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class GeometryBlock:
+    """Planar LED matrix a fixed height above the sample: the geometry block.
+
+    pitch_led and height are millimetres; wavelength is micrometres.
+    LEDs are addressed by flat index row * cols + col.
+    """
+
     rows: int
     cols: int
     pitch_led: float
@@ -80,6 +89,29 @@ class GeometryBlock:
         _positive("geometry.wavelength", self.wavelength)
         _index("geometry.center_row", self.center_row, self.rows)
         _index("geometry.center_col", self.center_col, self.cols)
+
+    @property
+    def n_leds(self) -> int:
+        return self.rows * self.cols
+
+    def offsets(self, led: int) -> tuple[int, int]:
+        """(row, col) offset of an LED from the centre LED."""
+        if not 0 <= led < self.n_leds:
+            raise IndexOutOfRange(f"led {led} outside 0..{self.n_leds - 1}")
+        return led // self.cols - self.center_row, led % self.cols - self.center_col
+
+    def led_na(self, led: int) -> float:
+        dr, dc = self.offsets(led)
+        r = math.hypot(dr, dc) * self.pitch_led
+        return math.sin(math.atan2(r, self.height))
+
+    def led_angle_deg(self, led: int) -> float:
+        """Direction of the LED in the x-right / y-up frame, degrees."""
+        dr, dc = self.offsets(led)
+        return math.degrees(math.atan2(-dr, dc))
+
+    def max_na(self) -> float:
+        return max(self.led_na(i) for i in range(self.n_leds))
 
 
 @dataclass(frozen=True)
@@ -194,12 +226,11 @@ class AnalysisBlock:
             _positive("analysis.epsilon", self.epsilon)
         _fraction("analysis.target_p", self.target_p)
         # reliability bins are ((m-1) delta_p, m delta_p] for m = 1 .. 1/delta_p
-        inverse = 1.0 / self.delta_p if 0.0 < self.delta_p <= 1.0 else 0.0
-        n_bins = round(inverse) if math.isfinite(inverse) else 0  # subnormals overflow
+        inverse = 1.0 / self.delta_p if 1e-3 <= self.delta_p <= 1.0 else 0.0
         _check(
-            math.isclose(n_bins * self.delta_p, 1.0, rel_tol=0.0, abs_tol=1e-12),
+            math.isclose(round(inverse) * self.delta_p, 1.0, rel_tol=0.0, abs_tol=1e-12),
             "analysis.delta_p",
-            "in (0, 1] with 1/delta_p an integer",
+            "in [1e-3, 1] (at most 1,000 bins) with 1/delta_p an integer",
             self.delta_p,
         )
         _check(
@@ -249,41 +280,40 @@ _BLOCK_TYPES = {
 }
 
 
-def parse_blocks(text: str) -> dict:
-    """Raw nested dict of the brace-block syntax; values stay strings."""
-    root: dict = {}
-    stack = [("", root)]
+def parse_blocks(text: str) -> dict[str, dict[str, str]]:
+    """Blocks of the brace-block syntax, one level deep; values stay strings."""
+    blocks: dict[str, dict[str, str]] = {}
+    name, body = "", None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "}":
-            if len(stack) == 1:
+            if body is None:
                 raise ConfigError(f"line {lineno}: unmatched '}}'")
-            stack.pop()
-            continue
-        if line.endswith("{"):
+            body = None
+        elif line.endswith("{"):
+            if body is not None:
+                raise ConfigError(f"line {lineno}: block inside block {name!r}")
             name = line[:-1].strip()
             if not name:
                 raise ConfigError(f"line {lineno}: block needs a name")
-            scope = stack[-1][1]
-            if name in scope:
+            if name in blocks:
                 raise ConfigError(f"line {lineno}: duplicate block {name!r}")
-            child: dict = {}
-            scope[name] = child
-            stack.append((name, child))
-            continue
-        parts = line.split(None, 1)
-        if len(parts) != 2:
-            raise ConfigError(f"line {lineno}: expected 'key value', got {line!r}")
-        key, value = parts
-        scope = stack[-1][1]
-        if key in scope:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        scope[key] = value
-    if len(stack) != 1:
-        raise ConfigError(f"unclosed block {stack[-1][0]!r}")
-    return root
+            body = blocks[name] = {}
+        else:
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise ConfigError(f"line {lineno}: expected 'key value', got {line!r}")
+            if body is None:
+                raise ConfigError(f"line {lineno}: {line!r} is outside any block")
+            key, value = parts
+            if key in body:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            body[key] = value
+    if body is not None:
+        raise ConfigError(f"unclosed block {name!r}")
+    return blocks
 
 
 def _convert(block: str, key: str, kind: type, raw: str):
@@ -300,15 +330,11 @@ def _convert(block: str, key: str, kind: type, raw: str):
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
-def _build_block(name: str, raw: dict):
-    import dataclasses
-
+def _build_block(name: str, raw: dict[str, str]):
     cls = _BLOCK_TYPES[name]
     field_map = {f.name: f for f in fields(cls)}
     values = {}
     for key, value in raw.items():
-        if isinstance(value, dict):
-            raise ConfigError(f"{name}.{key}: nested blocks are not allowed here")
         if key not in field_map:
             raise ConfigError(f"unknown key {name}.{key}")
         values[key] = _convert(name, key, _FIELD_TYPES[field_map[key].type], value)
@@ -320,13 +346,10 @@ def _build_block(name: str, raw: dict):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    raw = parse_blocks(text)
     blocks = {}
-    for name, body in raw.items():
+    for name, body in parse_blocks(text).items():
         if name not in _BLOCK_TYPES:
             raise ConfigError(f"unknown block {name!r}")
-        if not isinstance(body, dict):
-            raise ConfigError(f"{name!r} must be a block, not a key/value pair")
         blocks[name] = _build_block(name, body)
     return ExperimentConfig(**blocks)
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GeometryBlock
 from .errors import (
     EmptyRegion,
     FrequencyOutOfGrid,
-    IndexOutOfRange,
     NegativeIntensity,
     NonFiniteInput,
     SizeMismatch,
@@ -31,12 +31,12 @@ from .errors import (
 from .grid import ComplexRaster, RealRaster, fft2_unitary, freq_axis, ifft2_unitary
 
 __all__ = [
-    "LedArrayGeometry",
     "IlluminationPattern",
-    "Pupil",
     "led_frequency",
+    "led_window",
     "design_patterns",
     "make_pupil",
+    "forward_leds",
     "forward_single_led",
     "synthesize_multiplexed",
     "phase_transfer_function",
@@ -44,56 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LedArrayGeometry:
-    """Planar LED matrix a fixed height above the sample.
-
-    pitch_led and height are millimetres; wavelength is micrometres.
-    LEDs are addressed by flat index row * cols + col.
-    """
-
-    rows: int
-    cols: int
-    pitch_led: float
-    height: float
-    wavelength: float
-    center: tuple[int, int]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise SizeMismatch("LED grid must contain at least one LED")
-        for v in (self.pitch_led, self.height, self.wavelength):
-            if not (v > 0 and math.isfinite(v)):
-                raise NonFiniteInput(f"geometry lengths must be positive, got {v}")
-        cr, cc = self.center
-        if not (0 <= cr < self.rows and 0 <= cc < self.cols):
-            raise IndexOutOfRange(f"center {self.center} outside {self.rows}x{self.cols} grid")
-
-    @property
-    def n_leds(self) -> int:
-        return self.rows * self.cols
-
-    def offsets(self, led: int) -> tuple[int, int]:
-        """(row, col) offset of an LED from the centre LED."""
-        if not 0 <= led < self.n_leds:
-            raise IndexOutOfRange(f"led {led} outside 0..{self.n_leds - 1}")
-        return divmod(led, self.cols)[0] - self.center[0], led % self.cols - self.center[1]
-
-    def led_na(self, led: int) -> float:
-        dr, dc = self.offsets(led)
-        r = math.hypot(dr, dc) * self.pitch_led
-        return math.sin(math.atan2(r, self.height))
-
-    def led_angle_deg(self, led: int) -> float:
-        """Direction of the LED in the x-right / y-up frame, degrees."""
-        dr, dc = self.offsets(led)
-        return math.degrees(math.atan2(-dr, dc))
-
-    def max_na(self) -> float:
-        return max(self.led_na(i) for i in range(self.n_leds))
-
-
-def led_frequency(geometry: LedArrayGeometry, led: int) -> tuple[np.ndarray, float]:
+def led_frequency(geometry: GeometryBlock, led: int) -> tuple[np.ndarray, float]:
     """Illumination spatial frequency (f_row, f_col) in cycles/um, plus NA.
 
     Magnitude is sin(atan(r/height)) / wavelength, i.e. the illumination NA
@@ -112,7 +63,7 @@ def _wrapped_angle_distance(a: float, b: float) -> float:
 
 
 def _sector(
-    geometry: LedArrayGeometry,
+    geometry: GeometryBlock,
     na_lo: float,
     na_hi: float,
     center_deg: float,
@@ -153,7 +104,7 @@ class IlluminationPattern:
 
 
 def design_patterns(
-    geometry: LedArrayGeometry, na_obj: float, na_max: float
+    geometry: GeometryBlock, na_obj: float, na_max: float
 ) -> list[IlluminationPattern]:
     """Five-pattern multiplexed illumination: 2 brightfield + 3 darkfield.
 
@@ -183,86 +134,104 @@ def design_patterns(
     return patterns
 
 
-@dataclass(frozen=True)
-class Pupil:
-    """Binary circular aperture on a centered frequency grid."""
-
-    raster: ComplexRaster
-    na: float
-    wavelength: float
-
-
 def make_pupil(
     na: float, wavelength: float, shape: tuple[int, int], pitch: float
-) -> Pupil:
+) -> ComplexRaster:
+    """Binary circular aperture of cutoff na / wavelength on a centered frequency grid."""
     h, w = shape
     fr = freq_axis(h, pitch)[:, None]
     fc = freq_axis(w, pitch)[None, :]
     cutoff = na / wavelength
     mask = (fr**2 + fc**2 <= cutoff**2).astype(np.complex128)
-    return Pupil(ComplexRaster(mask, pitch), na, wavelength)
+    return ComplexRaster(mask, pitch)
 
 
-def _spectrum_window(
-    spectrum: np.ndarray, shift_bins: tuple[int, int], out_shape: tuple[int, int]
-) -> np.ndarray:
-    """Sub-block of a centered spectrum, centred at (-shift) from DC."""
-    H, W = spectrum.shape
-    h, w = out_shape
-    r0 = H // 2 - shift_bins[0] - h // 2
-    c0 = W // 2 - shift_bins[1] - w // 2
+def _led_shift(u_led: np.ndarray, shape: tuple[int, int], pitch: float) -> tuple[int, int]:
+    """Nearest bin (row, col) of frequency u_led from DC on a centered grid.
+
+    The grid has the given shape and real-space pitch, so its frequency
+    step is 1 / (side * pitch) on each axis.
+    """
+    df_r = 1.0 / (shape[0] * pitch)
+    df_c = 1.0 / (shape[1] * pitch)
+    return round(float(u_led[0]) / df_r), round(float(u_led[1]) / df_c)
+
+
+def led_window(
+    u_led: np.ndarray, shape: tuple[int, int], pitch: float, window: tuple[int, int]
+) -> tuple[int, int]:
+    """Top-left corner of the window-sized block centred at -u_led (nearest bin).
+
+    This is the part of a centered spectrum on the (shape, pitch) grid that
+    an LED at u_led shifts onto the pupil; FrequencyOutOfGrid if it leaves
+    the grid.
+    """
+    s_r, s_c = _led_shift(u_led, shape, pitch)
+    H, W = shape
+    h, w = window
+    r0 = H // 2 - s_r - h // 2
+    c0 = W // 2 - s_c - w // 2
     if r0 < 0 or c0 < 0 or r0 + h > H or c0 + w > W:
         raise FrequencyOutOfGrid(
-            f"illumination shift {shift_bins} pushes the passband outside the grid"
+            f"illumination shift {(s_r, s_c)} pushes the passband outside the {shape} grid"
         )
-    return spectrum[r0 : r0 + h, c0 : c0 + w]
+    return r0, c0
+
+
+def forward_leds(
+    obj: ComplexRaster,
+    pupil: ComplexRaster,
+    u_leds: list[np.ndarray],
+    detector_shape: tuple[int, int],
+) -> list[RealRaster]:
+    """Intensities recorded under tilted plane waves, one per frequency in u_leds.
+
+    The object is transformed once. For each LED its spectrum window
+    centred at -u_led (nearest grid bin) is multiplied by the pupil and
+    inverse-transformed on the detector grid; the window carries the crop
+    amplitude scale so a flat unit object maps to unit intensity.
+    """
+    H, W = obj.shape
+    h, w = detector_shape
+    if pupil.shape != (h, w):
+        raise SizeMismatch(f"pupil grid {pupil.shape} != detector {detector_shape}")
+    if h < 2 or w < 2 or H % h != 0 or W % w != 0:
+        raise SizeMismatch(f"detector {detector_shape} must divide object grid {obj.shape}")
+    spectrum = fft2_unitary(obj).data
+    scale = math.sqrt((h * w) / (H * W))
+    images = []
+    for u in u_leds:
+        r0, c0 = led_window(u, obj.shape, obj.pitch, detector_shape)
+        window = spectrum[r0 : r0 + h, c0 : c0 + w] * scale
+        field = ifft2_unitary(ComplexRaster(window * pupil.data, obj.pitch * (H / h)))
+        images.append(RealRaster(np.abs(field.data) ** 2, field.pitch))
+    return images
 
 
 def forward_single_led(
     obj: ComplexRaster,
-    pupil: Pupil,
+    pupil: ComplexRaster,
     u_led: np.ndarray,
     detector_shape: tuple[int, int],
 ) -> RealRaster:
-    """Intensity recorded under one tilted plane-wave illumination.
-
-    The object spectrum window centred at -u_led (nearest grid bin) is
-    multiplied by the pupil and inverse-transformed on the detector grid;
-    the window carries the crop amplitude scale so a flat unit object maps
-    to unit intensity.
-    """
-    H, W = obj.shape
-    h, w = detector_shape
-    if pupil.raster.shape != (h, w):
-        raise SizeMismatch(f"pupil grid {pupil.raster.shape} != detector {detector_shape}")
-    if h < 2 or w < 2 or H % h != 0 or W % w != 0:
-        raise SizeMismatch(f"detector {detector_shape} must divide object grid {obj.shape}")
-    spectrum = fft2_unitary(obj)
-    df_r = 1.0 / (H * obj.pitch)
-    df_c = 1.0 / (W * obj.pitch)
-    s = (round(float(u_led[0]) / df_r), round(float(u_led[1]) / df_c))
-    scale = math.sqrt((h * w) / (H * W))
-    window = _spectrum_window(spectrum.data, s, (h, w)) * scale
-    field = ifft2_unitary(ComplexRaster(window * pupil.raster.data, obj.pitch * (H / h)))
-    return RealRaster(np.abs(field.data) ** 2, field.pitch)
+    """Intensity recorded under one tilted plane-wave illumination."""
+    return forward_leds(obj, pupil, [u_led], detector_shape)[0]
 
 
 def synthesize_multiplexed(
     obj: ComplexRaster,
-    pupil: Pupil,
+    pupil: ComplexRaster,
     pattern: IlluminationPattern,
-    geometry: LedArrayGeometry,
+    geometry: GeometryBlock,
     detector_shape: tuple[int, int],
 ) -> RealRaster:
     """Incoherent weighted sum of single-LED intensities for one pattern."""
+    u_leds = [led_frequency(geometry, led)[0] for led in pattern.led_indices]
+    images = forward_leds(obj, pupil, u_leds, detector_shape)
     total = np.zeros(detector_shape)
-    out_pitch = None
-    for led, weight in pattern.leds:
-        u, _ = led_frequency(geometry, led)
-        img = forward_single_led(obj, pupil, u, detector_shape)
+    for (_, weight), img in zip(pattern.leds, images):
         total += weight * img.data
-        out_pitch = img.pitch
-    return RealRaster(total, out_pitch)
+    return RealRaster(total, images[-1].pitch)
 
 
 def _reflect_center(a: np.ndarray) -> np.ndarray:
@@ -272,8 +241,8 @@ def _reflect_center(a: np.ndarray) -> np.ndarray:
 
 def phase_transfer_function(
     pattern: IlluminationPattern,
-    pupil: Pupil,
-    geometry: LedArrayGeometry,
+    pupil: ComplexRaster,
+    geometry: GeometryBlock,
 ) -> ComplexRaster:
     """Weak-phase transfer function of a weighted LED pattern.
 
@@ -281,16 +250,12 @@ def phase_transfer_function(
     and B = sum_j w_j |P(u_j)|^2.  Purely imaginary and odd for a real
     pupil; identically zero for point-symmetric patterns.
     """
-    P = pupil.raster.data
+    P = pupil.data
     h, w = P.shape
-    df_r = 1.0 / (h * pupil.raster.pitch)
-    df_c = 1.0 / (w * pupil.raster.pitch)
     C = np.zeros_like(P)
     B = 0.0
     for led, weight in pattern.leds:
-        u, _ = led_frequency(geometry, led)
-        s_r = round(float(u[0]) / df_r)
-        s_c = round(float(u[1]) / df_c)
+        s_r, s_c = _led_shift(led_frequency(geometry, led)[0], (h, w), pupil.pitch)
         r_i, c_i = h // 2 + s_r, w // 2 + s_c
         # an LED beyond the sampled frequency grid is outside the pupil
         if not (0 <= r_i < h and 0 <= c_i < w):
@@ -303,7 +268,7 @@ def phase_transfer_function(
     if B == 0.0:
         raise ZeroBackground(f"pattern {pattern.label!r} passes no light through the pupil")
     Htf = 1j * (C - _reflect_center(np.conj(C))) / B
-    return ComplexRaster(Htf, pupil.raster.pitch)
+    return ComplexRaster(Htf, pupil.pitch)
 
 
 def add_noise(img: RealRaster, model: tuple[str, float], seed: int) -> RealRaster:

@@ -34,6 +34,7 @@ from .errors import (
     ConfigError,
     DemoGateFailure,
     FormatError,
+    MaskTooSmall,
     MissingArtifact,
     ShapeMismatch,
     ZeroMeanImage,
@@ -50,10 +51,9 @@ from .learner import (
     train_ensemble,
 )
 from .optics import (
-    LedArrayGeometry,
     add_noise,
     design_patterns,
-    forward_single_led,
+    forward_leds,
     led_frequency,
     make_pupil,
     synthesize_multiplexed,
@@ -204,13 +204,6 @@ def _require(block, name: str):
     return block
 
 
-def _geometry(cfg: ExperimentConfig) -> LedArrayGeometry:
-    g = _require(cfg.geometry, "geometry")
-    return LedArrayGeometry(
-        g.rows, g.cols, g.pitch_led, g.height, g.wavelength, (g.center_row, g.center_col)
-    )
-
-
 def _hires_pitch(cfg: ExperimentConfig) -> float:
     o = _require(cfg.optics, "optics")
     return o.pitch_detector * o.n_detector / o.n_hires
@@ -221,7 +214,7 @@ def _hires_pitch(cfg: ExperimentConfig) -> float:
 
 def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False) -> Path:
     """Phantom, single-LED stack, and multiplexed pattern images."""
-    geom = _geometry(cfg)
+    geom = _require(cfg.geometry, "geometry")
     opt = _require(cfg.optics, "optics")
     ph = _require(cfg.phantom, "phantom")
     hp = _hires_pitch(cfg)
@@ -234,27 +227,32 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
         )
     else:
         phi = resolution_target(shape_hi, ph.amplitude_hi, pitch=hp)
+    # preprocess estimates the noise on this mask; refuse it before any image is formed
+    threshold = cfg.analysis.background_threshold
+    background = int(np.count_nonzero(normalize_unit(phi)[0].data <= threshold))
+    if background < 100:
+        raise MaskTooSmall(
+            f"analysis.background_threshold {threshold} selects {background} "
+            "background pixels of the phantom, need >= 100"
+        )
     obj = ComplexRaster(np.exp(1j * phi.data), hp)
     pupil = make_pupil(opt.na_obj, geom.wavelength, shape_det, opt.pitch_detector)
 
     noisy = cfg.noise.model != "none"
+    model = (cfg.noise.model, cfg.noise.level)
     leds = [led for led in range(geom.n_leds) if geom.led_na(led) <= opt.na_max + 1e-12]
-    stack = []
-    for led in leds:
-        u, _ = led_frequency(geom, led)
-        img = forward_single_led(obj, pupil, u, shape_det)
-        if noisy:
-            img = add_noise(img, (cfg.noise.model, cfg.noise.level), cfg.noise.seed + led)
-        stack.append(img.data)
+    # one object transform for the whole stack; noisy images replace clean ones in place
+    stack = forward_leds(obj, pupil, [led_frequency(geom, led)[0] for led in leds], shape_det)
+    if noisy:
+        for i, led in enumerate(leds):
+            stack[i] = add_noise(stack[i], model, cfg.noise.seed + led)
 
     patterns = design_patterns(geom, opt.na_obj, opt.na_max)
     mux = []
     for i, pattern in enumerate(patterns):
         img = synthesize_multiplexed(obj, pupil, pattern, geom, shape_det)
         if noisy:
-            img = add_noise(
-                img, (cfg.noise.model, cfg.noise.level), cfg.noise.seed + 100000 + i
-            )
+            img = add_noise(img, model, cfg.noise.seed + 100000 + i)
         mux.append(img.data)
 
     seeds = {"phantom": ph.seed, "noise": cfg.noise.seed}
@@ -262,7 +260,7 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
         run.save("phantom_phase.puqt", phi.data, [("pitch", hp), ("kind", ph.kind)], preview=True)
         run.save(
             "led_stack.puqt",
-            np.stack(stack),
+            np.stack([img.data for img in stack]),
             [("pitch", opt.pitch_detector), ("leds", " ".join(str(led) for led in leds))],
         )
         run.save(
@@ -275,7 +273,7 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
 
 def sfpm_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: bool = False) -> Path:
     """Iterative synthetic-aperture phase retrieval from the LED stack."""
-    geom = _geometry(cfg)
+    geom = _require(cfg.geometry, "geometry")
     opt = _require(cfg.optics, "optics")
     arr, info = _load(simulate_dir, "led_stack.puqt")
     leds = [int(tok) for tok in info.get("leds", "").split()]
@@ -298,7 +296,7 @@ def sfpm_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: boo
 
 def dpc_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: bool = False) -> Path:
     """One-shot weak-phase reconstruction from the brightfield patterns."""
-    geom = _geometry(cfg)
+    geom = _require(cfg.geometry, "geometry")
     opt = _require(cfg.optics, "optics")
     arr, info = _load(simulate_dir, "multiplexed.puqt")
     patterns = design_patterns(geom, opt.na_obj, opt.na_max)

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SfpmConfig
+from .config import GeometryBlock, SfpmConfig
 from .errors import (
-    FrequencyOutOfGrid,
     InsufficientGrid,
     NonFiniteInput,
     SizeMismatch,
@@ -33,9 +32,8 @@ from .grid import (
 )
 from .optics import (
     IlluminationPattern,
-    LedArrayGeometry,
-    Pupil,
     led_frequency,
+    led_window,
     make_pupil,
     phase_transfer_function,
 )
@@ -54,7 +52,7 @@ class MeasurementStack:
     """Single-LED intensity images keyed by LED index."""
 
     images: dict[int, RealRaster]
-    geometry: LedArrayGeometry
+    geometry: GeometryBlock
     na_obj: float
 
     def __post_init__(self):
@@ -118,10 +116,7 @@ def sfpm_reconstruct(
 
     det_pitch = stack.detector_pitch
     hi_pitch = det_pitch * n_r / N_r
-    pupil = make_pupil(stack.na_obj, g.wavelength, (n_r, n_c), det_pitch)
-    P = pupil.raster.data
-    df_r = 1.0 / (N_r * hi_pitch)
-    df_c = 1.0 / (N_c * hi_pitch)
+    P = make_pupil(stack.na_obj, g.wavelength, (n_r, n_c), det_pitch).data
     amp_scale = math.sqrt((n_r * n_c) / (N_r * N_c))
     # Psi = amp_scale * W * P, and W += step * conj(P) / max|P|^2 * dPsi / amp_scale
     p_scaled = swap_quadrants(amp_scale * P)
@@ -141,16 +136,10 @@ def sfpm_reconstruct(
         led: swap_quadrants(np.sqrt(np.maximum(stack.images[led].data, 0.0)))
         for led in order
     }
-    windows = {}
-    for led in order:
-        u, _ = led_frequency(g, led)
-        s_r = round(float(u[0]) / df_r)
-        s_c = round(float(u[1]) / df_c)
-        r0 = N_r // 2 - s_r - n_r // 2
-        c0 = N_c // 2 - s_c - n_c // 2
-        if r0 < 0 or c0 < 0 or r0 + n_r > N_r or c0 + n_c > N_c:
-            raise FrequencyOutOfGrid(f"LED {led} passband leaves the {hires_shape} grid")
-        windows[led] = (r0, c0)
+    windows = {
+        led: led_window(led_frequency(g, led)[0], hires_shape, hi_pitch, (n_r, n_c))
+        for led in order
+    }
 
     for _ in range(cfg.epochs):
         misfit = 0.0
@@ -214,8 +203,8 @@ def dpc_deconvolve(
 def dpc_reconstruct(
     bf_images: list[RealRaster],
     patterns: list[IlluminationPattern],
-    pupil: Pupil,
-    geometry: LedArrayGeometry,
+    pupil: ComplexRaster,
+    geometry: GeometryBlock,
     tikhonov_beta: float = 0.1,
 ) -> RealRaster:
     """One-shot weak-phase reconstruction from brightfield pattern images."""

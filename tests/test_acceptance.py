@@ -21,7 +21,7 @@ from conftest import (
 )
 from phaseuq import pipeline
 from phaseuq.cli import DEMO_CONFIG
-from phaseuq.config import SfpmConfig, TrainConfig, parse_config
+from phaseuq.config import GeometryBlock, SfpmConfig, TrainConfig, parse_config
 from phaseuq.grid import ComplexRaster, RealRaster, crop_center_spectrum, fft2_unitary, ifft2_unitary
 from phaseuq.learner import (
     Dataset,
@@ -39,7 +39,6 @@ from phaseuq.learner import (
 from phaseuq.learner import _forward_batch
 from phaseuq.optics import (
     IlluminationPattern,
-    LedArrayGeometry,
     design_patterns,
     forward_single_led,
     led_frequency,
@@ -96,7 +95,7 @@ def report(num, text):
 def test_01_synthetic_aperture_closure():
     """Noise-free closed loop at 256 -> 64 with 121 LEDs, RMSE < 0.01 rad."""
     t0 = time.time()
-    g = LedArrayGeometry(11, 11, 2.0, 60.0, LAM, (5, 5))
+    g = GeometryBlock(11, 11, 2.0, 60.0, LAM, 5, 5)
     assert g.n_leds >= 100
     phi = bump_field(256, seed=1, amplitude=1.0)
     obj = ComplexRaster(np.exp(1j * phi), 0.5)
@@ -120,7 +119,7 @@ def test_01_synthetic_aperture_closure():
 def test_02_dpc_accuracy_and_symmetry_null():
     """Weak-object recovery within 5 percent in-band; symmetric source nulls."""
     t0 = time.time()
-    g = LedArrayGeometry(15, 15, 2.0, 60.0, LAM, (7, 7))
+    g = GeometryBlock(15, 15, 2.0, 60.0, LAM, 7, 7)
     pupil = make_pupil(NA_OBJ, LAM, (64, 64), 2.0)
     patterns = design_patterns(g, NA_OBJ, g.max_na())[:2]
 
@@ -159,7 +158,7 @@ def test_02_dpc_accuracy_and_symmetry_null():
 def test_03_pattern_design_counts_and_coverage():
     """Exactly 2 brightfield + 3 darkfield patterns covering every usable LED."""
     t0 = time.time()
-    g = LedArrayGeometry(11, 11, 2.0, 60.0, LAM, (5, 5))
+    g = GeometryBlock(11, 11, 2.0, 60.0, LAM, 5, 5)
     na_max = g.max_na()
     patterns = design_patterns(g, NA_OBJ, na_max)
     bf = [p for p in patterns if p.label.startswith("bf")]

@@ -384,6 +384,23 @@ def test_cli_demo_bad_config_leaves_no_run(tmp_path, capsys):
     assert not list(out.glob("demo-*"))
 
 
+def test_cli_demo_background_mask_too_small_fails_in_simulate(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("images were formed for a field preprocess must refuse")
+
+    monkeypatch.setattr(pipeline, "forward_leds", never)
+    monkeypatch.setattr(pipeline, "sfpm_reconstruct", never)
+    bad = DEMO_CONFIG.replace("  background_threshold 0.05\n", "  background_threshold 0.0\n")
+    assert bad != DEMO_CONFIG
+    out = tmp_path / "r"
+    rc = main(["demo", "--config", _write_cfg(tmp_path, bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
+    assert "code=MaskTooSmall" in err
+    assert not list(out.glob("demo-*"))
+
+
 def test_cli_out_is_a_file_fails_before_any_stage(tmp_path, capsys, monkeypatch):
     def no_stage(*args, **kwargs):
         raise AssertionError("a stage ran although --out is a regular file")

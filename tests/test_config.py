@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from phaseuq.cli import DEMO_CONFIG
 from phaseuq.config import (
     ExperimentConfig,
     canonical_text,
@@ -121,6 +122,16 @@ def test_unbalanced_braces_rejected():
         parse_config("noise {\n  level 1.0\n")
 
 
+def test_nested_block_rejected():
+    with pytest.raises(ConfigError, match="line 3"):
+        parse_config("noise {\n  level 1.0\n  inner {\n  }\n}\n")
+
+
+def test_key_outside_block_rejected():
+    with pytest.raises(ConfigError, match="line 2"):
+        parse_config("# top\nlevel 1.0\nnoise {\n}\n")
+
+
 def set_key(key, value):
     """Canonical text of FULL with block.key set to value, added if absent."""
     block, name = key.split(".")
@@ -156,6 +167,8 @@ def set_key(key, value):
         ("noise.seed", "-1", "noise.seed"),
         ("train.seed", "-1", "train.seed"),
         ("analysis.delta_p", "1e-320", "analysis.delta_p"),  # 1/delta_p overflows
+        ("analysis.delta_p", "1e-6", "analysis.delta_p"),  # a million bins
+        ("analysis.delta_p", "1e-9", "analysis.delta_p"),
         ("train.patch", "256", "train.patch must be <= optics.n_hires"),
     ],
 )
@@ -181,6 +194,14 @@ def test_config_hash_stable_under_formatting():
 def test_config_hash_sees_value_changes():
     other = FULL.replace("level 0.002", "level 0.003")
     assert config_hash(parse_config(FULL)) != config_hash(parse_config(other))
+
+
+def test_demo_config_hash_pinned():
+    # the hash is in every manifest and checkpoint header, so block field
+    # names and their order are part of the run-tree format
+    assert config_hash(parse_config(DEMO_CONFIG)) == (
+        "807a48ea90a672a20b575aba6f6f5aec9c10875c712542ca52e20f4d0e36833f"
+    )
 
 
 def test_load_config_file(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bump_field
+from phaseuq.config import GeometryBlock
 from phaseuq.errors import (
     EmptyRegion,
     FrequencyOutOfGrid,
@@ -17,9 +18,9 @@ from phaseuq.errors import (
 from phaseuq.grid import ComplexRaster, RealRaster, crop_center_spectrum, fft2_unitary
 from phaseuq.optics import (
     IlluminationPattern,
-    LedArrayGeometry,
     add_noise,
     design_patterns,
+    forward_leds,
     forward_single_led,
     led_frequency,
     make_pupil,
@@ -31,7 +32,7 @@ LAM = 0.532
 
 
 def std_geometry(pitch=2.0, height=60.0, rows=15):
-    return LedArrayGeometry(rows, rows, pitch, height, LAM, (rows // 2, rows // 2))
+    return GeometryBlock(rows, rows, pitch, height, LAM, rows // 2, rows // 2)
 
 
 def setup_simulation(n_hi=256, n_det=64, pitch_hi=0.5, na_obj=0.1):
@@ -48,12 +49,12 @@ def phase_object(phi, pitch=0.5):
 
 def test_center_led_frequency_is_zero():
     g = std_geometry()
-    u, na = led_frequency(g, g.center[0] * g.cols + g.center[1])
+    u, na = led_frequency(g, g.center_row * g.cols + g.center_col)
     assert na == 0.0 and np.all(u == 0.0)
 
 
 def test_led_at_height_distance_gives_sin45():
-    g = LedArrayGeometry(3, 3, 30.0, 30.0, LAM, (1, 1))
+    g = GeometryBlock(3, 3, 30.0, 30.0, LAM, 1, 1)
     u, na = led_frequency(g, 1 * 3 + 2)  # offset (0, 1): r = 30 mm = height
     assert abs(na - math.sin(math.radians(45.0))) < 1e-12
     assert abs(np.hypot(*u) - na / LAM) < 1e-12
@@ -63,7 +64,7 @@ def test_synthetic_aperture_na_sum():
     # illumination NA 0.41 on a 0.1 NA objective -> synthetic NA 0.51
     height = 50.0
     r = height * math.tan(math.asin(0.41))
-    g = LedArrayGeometry(21, 21, r / 10.0, height, LAM, (10, 10))
+    g = GeometryBlock(21, 21, r / 10.0, height, LAM, 10, 10)
     u, na = led_frequency(g, 10 * 21 + 20)  # offset (0, 10)
     assert abs(na - 0.41) < 1e-12
     assert abs(np.hypot(*u) * LAM + 0.1 - 0.51) < 1e-12
@@ -110,7 +111,7 @@ def test_patterns_are_point_asymmetric():
         reflected_absent = 0
         for led in members:
             dr, dc = g.offsets(led)
-            rr, rc = g.center[0] - dr, g.center[1] - dc
+            rr, rc = g.center_row - dr, g.center_col - dc
             mirror = rr * g.cols + rc
             if not (0 <= rr < g.rows and 0 <= rc < g.cols) or mirror not in members:
                 reflected_absent += 1
@@ -120,15 +121,15 @@ def test_patterns_are_point_asymmetric():
 def test_boundary_na_is_brightfield():
     # an LED exactly at na_obj belongs to the brightfield class (closed bound)
     g = std_geometry(pitch=2.0, height=60.0)
-    na_ring1 = g.led_na(g.center[0] * g.cols + g.center[1] + 1)
+    na_ring1 = g.led_na(g.center_row * g.cols + g.center_col + 1)
     pats = design_patterns(g, na_ring1, 0.41)
     bf_union = set().union(*(p.led_indices for p in pats[:2]))
-    assert g.center[0] * g.cols + g.center[1] + 1 in bf_union
+    assert g.center_row * g.cols + g.center_col + 1 in bf_union
 
 
 def test_empty_annulus_raises():
     g = std_geometry(pitch=2.0, height=60.0)
-    na1 = g.led_na(g.center[0] * g.cols + g.center[1] + 1)
+    na1 = g.led_na(g.center_row * g.cols + g.center_col + 1)
     with pytest.raises(EmptyRegion):
         design_patterns(g, na1, na1 * 1.001)
 
@@ -139,7 +140,7 @@ def test_empty_annulus_raises():
 def test_pupil_support_and_symmetry():
     na, lam, n, pitch = 0.25, 0.5, 128, 0.25
     pupil = make_pupil(na, lam, (n, n), pitch)
-    P = pupil.raster.data.real
+    P = pupil.data.real
     assert set(np.unique(P)) <= {0.0, 1.0}
     assert P[n // 2, n // 2] == 1.0
     count = P.sum()
@@ -165,7 +166,7 @@ def test_darkfield_led_blocks_flat_object():
     pupil = setup_simulation()
     g = std_geometry()
     flat = ComplexRaster(np.ones((256, 256), dtype=complex), 0.5)
-    led = g.center[0] * g.cols + g.center[1] + 6  # na ~ 0.196 > 0.1
+    led = g.center_row * g.cols + g.center_col + 6  # na ~ 0.196 > 0.1
     u, na = led_frequency(g, led)
     assert na > 0.1
     img = forward_single_led(flat, pupil, u, (64, 64))
@@ -207,6 +208,35 @@ def test_weak_grating_modulation_at_grating_frequency():
     assert peak > 100.0 * (S0[n_det // 2, n_det // 2 + f_bins] + 1e-15)
 
 
+def test_forward_leds_match_tilted_plane_wave_reference():
+    # one object transform for many LEDs against a per-LED textbook model:
+    # tilt the object by the LED's plane wave at its nearest grid bin,
+    # transform it, keep the centred detector band and apply the pupil
+    n_hi, n_det, pitch = 256, 64, 0.5
+    pupil = setup_simulation(n_hi, n_det, pitch)
+    g = std_geometry()
+    # a random phase screen scatters to every angle, so darkfield images carry signal
+    obj = phase_object(np.random.default_rng(7).normal(0.0, 0.5, (n_hi, n_hi)), pitch)
+    c = g.center_row * g.cols + g.center_col
+    leds = [c, c + 1, c - 2 * g.cols + 1, c + 6, c - 4 * g.cols - 3, c + 3 * g.cols + 5]
+    nas = [g.led_na(led) for led in leds]
+    assert nas[0] == 0.0 and sum(na > 0.1 for na in nas) == 3  # three darkfield LEDs
+    freqs = [led_frequency(g, led)[0] for led in leds]
+    images = forward_leds(obj, pupil, freqs, (n_det, n_det))
+    assert np.array_equal(images[1].data, forward_single_led(obj, pupil, freqs[1], (64, 64)).data)
+    rr, cc = np.mgrid[0:n_hi, 0:n_hi]
+    df = 1.0 / (n_hi * pitch)
+    lo = n_hi // 2 - n_det // 2
+    for u, img in zip(freqs, images):
+        assert img.data.mean() > 1e-3
+        s_r, s_c = round(u[0] / df), round(u[1] / df)
+        tilted = obj.data * np.exp(2j * np.pi * (s_r * rr + s_c * cc) / n_hi)
+        spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(tilted), norm="ortho"))
+        band = spectrum[lo : lo + n_det, lo : lo + n_det] * (n_det / n_hi) * pupil.data
+        field = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(band), norm="ortho"))
+        assert np.max(np.abs(img.data - np.abs(field) ** 2)) <= 1e-12
+
+
 # ---- multiplexed synthesis ----
 
 
@@ -215,7 +245,7 @@ def test_singleton_pattern_matches_single_led():
     g = std_geometry()
     phi = bump_field(256, seed=3, amplitude=0.8)
     obj = phase_object(phi)
-    led = g.center[0] * g.cols + g.center[1] + 1
+    led = g.center_row * g.cols + g.center_col + 1
     pat = IlluminationPattern("bf-x", ((led, 1.0),))
     u, _ = led_frequency(g, led)
     a = synthesize_multiplexed(obj, pupil, pat, g, (64, 64))
@@ -227,7 +257,7 @@ def test_disjoint_pattern_additivity():
     pupil = setup_simulation()
     g = std_geometry()
     obj = phase_object(bump_field(256, seed=4, amplitude=0.5))
-    c = g.center[0] * g.cols + g.center[1]
+    c = g.center_row * g.cols + g.center_col
     pat_a = IlluminationPattern("bf-a", ((c + 1, 1.0), (c - 1, 0.5)))
     pat_b = IlluminationPattern("bf-b", ((c + g.cols, 2.0),))
     pat_ab = IlluminationPattern("bf-ab", tuple(list(pat_a.leds) + list(pat_b.leds)))
@@ -264,7 +294,7 @@ def _half_disc_pattern(g, na_obj, side="up"):
 def test_symmetric_source_has_zero_transfer():
     pupil = setup_simulation()
     g = std_geometry()
-    c = g.center[0] * g.cols + g.center[1]
+    c = g.center_row * g.cols + g.center_col
     sym = IlluminationPattern("bf-sym", ((c + 1, 1.0), (c - 1, 1.0), (c + g.cols, 0.5), (c - g.cols, 0.5)))
     H = phase_transfer_function(sym, pupil, g).data
     assert np.max(np.abs(H)) < 1e-12

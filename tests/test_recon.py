@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bump_field
 from phaseuq import recon
-from phaseuq.config import SfpmConfig
+from phaseuq.config import GeometryBlock, SfpmConfig
 from phaseuq.errors import (
     ConfigError,
     InsufficientGrid,
@@ -23,7 +23,6 @@ from phaseuq.grid import (
     ifft2_unitary,
 )
 from phaseuq.optics import (
-    LedArrayGeometry,
     design_patterns,
     forward_single_led,
     led_frequency,
@@ -70,7 +69,7 @@ def simulate_stack(geometry, phi, n_hi, n_det, pitch_hi, leds=None):
 @pytest.fixture(scope="module")
 def closure_run():
     """121-LED noiseless closed loop at 4x synthetic bandwidth."""
-    g = LedArrayGeometry(11, 11, 2.0, 60.0, LAM, (5, 5))
+    g = GeometryBlock(11, 11, 2.0, 60.0, LAM, 5, 5)
     phi = bump_field(256, seed=1, amplitude=1.0)
     stack, _ = simulate_stack(g, phi, 256, 64, 0.5)
     residuals = []
@@ -79,7 +78,7 @@ def closure_run():
 
 
 def test_sfpm_flat_object_is_fixed_point():
-    g = LedArrayGeometry(7, 7, 2.0, 60.0, LAM, (3, 3))
+    g = GeometryBlock(7, 7, 2.0, 60.0, LAM, 3, 3)
     stack, _ = simulate_stack(g, np.zeros((128, 128)), 128, 32, 0.5)
     rec = sfpm_reconstruct(stack, SfpmConfig(epochs=3), (128, 128))
     assert np.angle(rec.data).std() < 1e-3
@@ -111,7 +110,7 @@ def test_sfpm_spectrum_confined_to_synthetic_aperture(closure_run):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_sfpm_residual_shrinks_across_phantoms(seed):
-    g = LedArrayGeometry(9, 9, 2.2, 60.0, LAM, (4, 4))
+    g = GeometryBlock(9, 9, 2.2, 60.0, LAM, 4, 4)
     phi = bump_field(128, seed=seed, amplitude=1.0, sigma_range=(6.0, 14.0))
     stack, _ = simulate_stack(g, phi, 128, 32, 0.5)
     residuals = []
@@ -120,7 +119,7 @@ def test_sfpm_residual_shrinks_across_phantoms(seed):
 
 
 def test_sfpm_translation_consistency():
-    g = LedArrayGeometry(9, 9, 2.2, 60.0, LAM, (4, 4))
+    g = GeometryBlock(9, 9, 2.2, 60.0, LAM, 4, 4)
     phi = bump_field(128, seed=7, amplitude=0.8, sigma_range=(6.0, 14.0))
     shift = (8, 4)  # whole high-res pixels, multiple of the 4x factor
     stack_a, _ = simulate_stack(g, phi, 128, 32, 0.5)
@@ -132,7 +131,7 @@ def test_sfpm_translation_consistency():
 
 
 def test_sfpm_flat_init_also_converges():
-    g = LedArrayGeometry(9, 9, 2.2, 60.0, LAM, (4, 4))
+    g = GeometryBlock(9, 9, 2.2, 60.0, LAM, 4, 4)
     phi = bump_field(128, seed=3, amplitude=1.0, sigma_range=(6.0, 14.0))
     stack, _ = simulate_stack(g, phi, 128, 32, 0.5)
     rec = sfpm_reconstruct(stack, SfpmConfig(epochs=50, init="flat"), (128, 128))
@@ -161,7 +160,7 @@ def reference_sfpm(stack, epochs, n_hi):
     def ifft_c(x):
         return shift(np.fft.ifft2(np.fft.ifftshift(x), norm="ortho"))
 
-    P = make_pupil(stack.na_obj, g.wavelength, (n, n), det_pitch).raster.data
+    P = make_pupil(stack.na_obj, g.wavelength, (n, n), det_pitch).data
     p_gain = np.conj(P) / np.max(np.abs(P)) ** 2
     amp_scale = n / n_hi
     order = sorted(stack.images, key=lambda led: (led_frequency(g, led)[1], led))
@@ -184,7 +183,7 @@ def reference_sfpm(stack, epochs, n_hi):
 
 def test_sfpm_matches_textbook_reference():
     # the built-in demo geometry: 9x9 LEDs, 32^2 detector, 128^2 field
-    g = LedArrayGeometry(9, 9, 2.2, 60.0, LAM, (4, 4))
+    g = GeometryBlock(9, 9, 2.2, 60.0, LAM, 4, 4)
     phi = bump_field(128, seed=2, amplitude=1.0, sigma_range=(6.0, 14.0))
     stack, _ = simulate_stack(g, phi, 128, 32, 0.5)
     rec = sfpm_reconstruct(stack, SfpmConfig(epochs=1), (128, 128)).data
@@ -194,11 +193,11 @@ def test_sfpm_matches_textbook_reference():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_sfpm_non_finite_loop_value_raises(monkeypatch):
-    g = LedArrayGeometry(7, 7, 2.0, 60.0, LAM, (3, 3))
+    g = GeometryBlock(7, 7, 2.0, 60.0, LAM, 3, 3)
     stack, pupil = simulate_stack(g, np.zeros((128, 128)), 128, 32, 0.5)
-    data = pupil.raster.data.copy()
+    data = pupil.data.copy()
     data[16, 16] = np.nan
-    broken = SimpleNamespace(raster=SimpleNamespace(data=data))
+    broken = SimpleNamespace(data=data)
     monkeypatch.setattr(recon, "make_pupil", lambda *args: broken)
     residuals = []
     with pytest.raises(NonFiniteInput):
@@ -207,7 +206,7 @@ def test_sfpm_non_finite_loop_value_raises(monkeypatch):
 
 
 def test_sfpm_insufficient_grid():
-    g = LedArrayGeometry(9, 9, 2.2, 60.0, LAM, (4, 4))
+    g = GeometryBlock(9, 9, 2.2, 60.0, LAM, 4, 4)
     stack, _ = simulate_stack(g, np.zeros((128, 128)), 128, 32, 0.5, leds=[40, 0])
     with pytest.raises(InsufficientGrid):
         sfpm_reconstruct(stack, SfpmConfig(epochs=1), (64, 64))
@@ -225,7 +224,7 @@ def test_sfpm_config_validation():
 
 
 def test_stack_validation():
-    g = LedArrayGeometry(3, 3, 2.0, 60.0, LAM, (1, 1))
+    g = GeometryBlock(3, 3, 2.0, 60.0, LAM, 1, 1)
     with pytest.raises(SizeMismatch):
         MeasurementStack({}, g, NA_OBJ)
     imgs = {0: RealRaster(np.ones((8, 8))), 1: RealRaster(np.ones((4, 4)))}
@@ -238,7 +237,7 @@ def test_stack_validation():
 
 @pytest.fixture(scope="module")
 def dpc_setup():
-    g = LedArrayGeometry(15, 15, 2.0, 60.0, LAM, (7, 7))
+    g = GeometryBlock(15, 15, 2.0, 60.0, LAM, 7, 7)
     pupil = make_pupil(NA_OBJ, LAM, (64, 64), 2.0)
     patterns = design_patterns(g, NA_OBJ, g.max_na())[:2]
     return g, pupil, patterns
