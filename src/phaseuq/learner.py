@@ -224,30 +224,26 @@ def _swap_nc(a: np.ndarray) -> np.ndarray:
 def _forward_cols(params, x, mask):
     """Forward pass in channel-major (c, n, h, w) layout.
 
+    params holds the eight arrays in ``RegressorParams.as_list()`` order.
     Returns the output (2, n, h, w), the activations and the four column
     matrices, which the backward pass reuses for the kernel gradients.
     """
+    k1, b1, k2, b2, k3, b3, k4, b4 = params
     shape = (x.shape[0], *x.shape[2:])
     x0 = _swap_nc(x)
     c1 = _im2col(x0)
-    z1 = _conv3(c1, params.k1, shape) + params.b1[:, None, None, None]
+    z1 = _conv3(c1, k1, shape) + b1[:, None, None, None]
     a1 = np.maximum(z1, 0.0)
     c2 = _im2col(a1)
-    z2 = _conv3(c2, params.k2, shape) + params.b2[:, None, None, None]
+    z2 = _conv3(c2, k2, shape) + b2[:, None, None, None]
     a2 = np.maximum(z2, 0.0)
     d2 = a2 * mask.T[:, :, None, None]
     c3 = _im2col(d2)
-    z3 = _conv3(c3, params.k3, shape) + params.b3[:, None, None, None]
+    z3 = _conv3(c3, k3, shape) + b3[:, None, None, None]
     a3 = np.maximum(z3, 0.0)
     c4 = _im2col(a3)
-    out = _conv3(c4, params.k4, shape) + params.b4[:, None, None, None]
+    out = _conv3(c4, k4, shape) + b4[:, None, None, None]
     return out, (x0, z1, a1, z2, d2, z3, a3), (c1, c2, c3, c4)
-
-
-def _forward_batch(params, x, mask):
-    """x (n, 5, h, w) -> output (n, 2, h, w) and the activations, sample-major."""
-    out, acts, _ = _forward_cols(params, x, mask)
-    return _swap_nc(out), tuple(_swap_nc(a) for a in acts)
 
 
 def _loss_and_grad_out(out, y):
@@ -266,19 +262,21 @@ def _loss_and_grad_out(out, y):
 
 
 def _backward_batch(params, x, y, mask):
+    """Loss gradients as a list in ``as_list()`` order, and the loss."""
     out, (_, z1, _, z2, _, z3, _), (c1, c2, c3, c4) = _forward_cols(params, x, mask)
     loss, dout = _loss_and_grad_out(_swap_nc(out), y)
     if not math.isfinite(loss):
         raise DivergedLoss(f"loss became {loss}")
     dout = _swap_nc(dout)
-    dk4, db4, da3 = _conv3_grad(c4, params.k4, dout)
+    k1, _, k2, _, k3, _, k4, _ = params
+    dk4, db4, da3 = _conv3_grad(c4, k4, dout)
     dz3 = da3 * (z3 > 0.0)
-    dk3, db3, dd2 = _conv3_grad(c3, params.k3, dz3)
+    dk3, db3, dd2 = _conv3_grad(c3, k3, dz3)
     dz2 = dd2 * mask.T[:, :, None, None] * (z2 > 0.0)
-    dk2, db2, da1 = _conv3_grad(c2, params.k2, dz2)
+    dk2, db2, da1 = _conv3_grad(c2, k2, dz2)
     dz1 = da1 * (z1 > 0.0)
-    dk1, db1, _ = _conv3_grad(c1, params.k1, dz1, need_dx=False)
-    return RegressorParams(dk1, db1, dk2, db2, dk3, db3, dk4, db4), loss
+    dk1, db1, _ = _conv3_grad(c1, k1, dz1, need_dx=False)
+    return [dk1, db1, dk2, db2, dk3, db3, dk4, db4], loss
 
 
 def _check_stack(inputs) -> np.ndarray:
@@ -286,14 +284,6 @@ def _check_stack(inputs) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[0] != CHANNELS[0]:
         raise ShapeMismatch(f"expected ({CHANNELS[0]}, H, W) stack, got {arr.shape}")
     return arr
-
-
-def _mask_for(rate: float, seed) -> np.ndarray:
-    if rate == 0.0:
-        return np.ones((1, CHANNELS[2]))
-    if seed is None:
-        raise NonFiniteInput("sampled dropout requires a seed")
-    return _sample_mask(1, rate, np.random.default_rng(seed))
 
 
 # ------------------------------------------------------------ operations
@@ -314,8 +304,8 @@ def init_params(seed: int) -> RegressorParams:
 def forward(params: RegressorParams, inputs, pitch: float = 1.0) -> PredictiveMap:
     """Deterministic prediction for one (5, H, W) stack; dropout is off."""
     arr = _check_stack(inputs)
-    out, _ = _forward_batch(params, arr[None], np.ones((1, CHANNELS[2])))
-    return PredictiveMap(RealRaster(out[0, 0], pitch), RealRaster(out[0, 1], pitch))
+    out, _, _ = _forward_cols(params.as_list(), arr[None], np.ones((1, CHANNELS[2])))
+    return PredictiveMap(RealRaster(out[0, 0], pitch), RealRaster(out[1, 0], pitch))
 
 
 def nll_loss(pred: PredictiveMap, target: RealRaster) -> float:
@@ -338,8 +328,11 @@ def backward(
     y = np.asarray(target, dtype=float)
     if y.shape != arr.shape[1:]:
         raise ShapeMismatch(f"target {y.shape} does not match inputs {arr.shape}")
-    mask = _mask_for(dropout_rate, dropout_seed)
-    return _backward_batch(params, arr[None], y[None], mask)
+    if dropout_rate != 0.0 and dropout_seed is None:
+        raise NonFiniteInput("sampled dropout requires a seed")
+    mask = _sample_mask(1, dropout_rate, np.random.default_rng(dropout_seed))
+    grads, loss = _backward_batch(params.as_list(), arr[None], y[None], mask)
+    return RegressorParams(*grads), loss
 
 
 def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorParams:
@@ -350,9 +343,9 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
     x = np.stack([p.inputs for p in pairs]).astype(float)
     y = np.stack([p.target for p in pairs]).astype(float)
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg.seed)
-    m = [np.zeros_like(a) for a in params.as_list()]
-    v = [np.zeros_like(a) for a in params.as_list()]
+    params = init_params(cfg.seed).as_list()
+    m = [np.zeros_like(a) for a in params]
+    v = [np.zeros_like(a) for a in params]
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(pairs))
@@ -360,22 +353,20 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
             idx = order[start : start + cfg.batch_size]
             mask = _sample_mask(len(idx), cfg.dropout_rate, rng)
             grads, loss = _backward_batch(params, x[idx], y[idx], mask)
-            if not math.isfinite(loss):
-                raise DivergedLoss(f"loss became {loss} at step {t}")
             if loss_history is not None:
                 loss_history.append(loss)
             t += 1
-            new = []
-            for j, (p, g) in enumerate(zip(params.as_list(), grads.as_list())):
-                m[j] = BETA1 * m[j] + (1.0 - BETA1) * g
-                v[j] = BETA2 * v[j] + (1.0 - BETA2) * g * g
-                mh = m[j] / (1.0 - BETA1**t)
-                vh = v[j] / (1.0 - BETA2**t)
-                new.append(p - cfg.lr * mh / (np.sqrt(vh) + ADAM_EPS))
-            if any(not np.isfinite(a).all() for a in new):
+            for p, g, mj, vj in zip(params, grads, m, v):
+                mj *= BETA1
+                mj += (1.0 - BETA1) * g
+                vj *= BETA2
+                vj += (1.0 - BETA2) * g * g
+                mh = mj / (1.0 - BETA1**t)
+                vh = vj / (1.0 - BETA2**t)
+                p -= cfg.lr * mh / (np.sqrt(vh) + ADAM_EPS)
+            if any(not np.isfinite(a).all() for a in params):
                 raise DivergedLoss(f"parameters became non-finite at step {t}")
-            params = RegressorParams(*new)
-    return params
+    return RegressorParams(*params)
 
 
 def train_ensemble(dataset: Dataset, cfg: TrainConfig) -> list[RegressorParams]:

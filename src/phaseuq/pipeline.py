@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     MaskTooSmall,
     MissingArtifact,
+    NonPositiveSigma,
     ShapeMismatch,
     ZeroMeanImage,
 )
@@ -59,7 +60,13 @@ from .optics import (
     synthesize_multiplexed,
 )
 from .phantom import gaussian_bumps, resolution_target
-from .preprocess import PatchGrid, estimate_noise, normalize_unit, stitch_alpha_blend
+from .preprocess import (
+    MIN_BACKGROUND_PIXELS,
+    PatchGrid,
+    estimate_noise,
+    normalize_unit,
+    stitch_alpha_blend,
+)
 from .recon import MeasurementStack, dpc_reconstruct, sfpm_reconstruct
 from .tensorfile import read_records, read_tensor, write_pgm16, write_records, write_tensor
 from .uqstats import (
@@ -115,6 +122,14 @@ def _read_lines(path) -> dict[str, str]:
     if not path.is_file():
         raise MissingArtifact(f"{path} not found")
     return _parse_lines(path.read_text(encoding="utf-8"))
+
+
+def _required(info: dict[str, str], key: str, source, parse):
+    """``parse(info[key])``; a missing key or a value parse rejects is a FormatError."""
+    try:
+        return parse(info[key])
+    except (KeyError, ValueError):
+        raise FormatError(f"{source}: {key!r} is missing or not a number") from None
 
 
 def _load(run_dir, name: str) -> tuple[np.ndarray, dict[str, str]]:
@@ -230,10 +245,10 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
     # preprocess estimates the noise on this mask; refuse it before any image is formed
     threshold = cfg.analysis.background_threshold
     background = int(np.count_nonzero(normalize_unit(phi)[0].data <= threshold))
-    if background < 100:
+    if background < MIN_BACKGROUND_PIXELS:
         raise MaskTooSmall(
             f"analysis.background_threshold {threshold} selects {background} "
-            "background pixels of the phantom, need >= 100"
+            f"background pixels of the phantom, need >= {MIN_BACKGROUND_PIXELS}"
         )
     obj = ComplexRaster(np.exp(1j * phi.data), hp)
     pupil = make_pupil(opt.na_obj, geom.wavelength, shape_det, opt.pitch_detector)
@@ -276,7 +291,8 @@ def sfpm_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: boo
     geom = _require(cfg.geometry, "geometry")
     opt = _require(cfg.optics, "optics")
     arr, info = _load(simulate_dir, "led_stack.puqt")
-    leds = [int(tok) for tok in info.get("leds", "").split()]
+    source = Path(simulate_dir) / "led_stack.puqt"
+    leds = _required(info, "leds", source, lambda text: [int(tok) for tok in text.split()])
     if len(leds) != arr.shape[0]:
         raise FormatError(
             f"led_stack metadata lists {len(leds)} LEDs for {arr.shape[0]} images"
@@ -465,6 +481,8 @@ def analyze_stage(
     if mu.shape != sigma.shape or mu.shape[1:] != ys.shape:
         raise ShapeMismatch(f"predictions {mu.shape} do not match targets {ys.shape}")
     n_members, n_patches, h, w = mu.shape
+    if not (sigma > 0.0).all():
+        raise NonPositiveSigma(f"{Path(predict_dir) / 'sigma.puqt'}: sigma must be > 0")
 
     # per-pixel statistics ignore position, so the patch axis is folded
     # into one tall mosaic and unfolded again for the output tensors
@@ -479,8 +497,8 @@ def analyze_stage(
     truth = RealRaster(ys.reshape(n_patches * h, w), 1.0)
 
     if a.policy == "background-noise":
-        info = _read_lines(Path(preprocess_dir) / "noise.txt")
-        sigma_bg = float(info["sigma_background"])
+        path = Path(preprocess_dir) / "noise.txt"
+        sigma_bg = _required(_read_lines(path), "sigma_background", path, float)
         epsilon = -sigma_bg * math.log1p(-a.target_p)
     else:
         epsilon = a.epsilon  # positive under the explicit policy, checked at parse time
@@ -488,7 +506,7 @@ def analyze_stage(
     maps = decompose_uncertainty(ens)
     cmap = credibility_map(ens, epsilon)
     bound = credible_bound(ens, a.target_p)
-    diagram = reliability_diagram(ens, truth, epsilon, a.delta_p)
+    diagram = reliability_diagram(cmap, maps.mean, truth, a.delta_p)
     abs_error = np.abs(maps.mean.data - truth.data)
 
     inputs = {"preprocess": preprocess_dir, "predict": predict_dir}
@@ -533,22 +551,15 @@ def stitch_stage(
     bg, _ = _load(preprocess_dir, "background_mask.puqt")
     background = bg > 0.5
 
-    stitched: dict[str, RealRaster] = {}
-    for name in ANALYSIS_MAPS:
-        maps, _ = _load(analyze_dir, f"{name}.puqt")
-        if maps.shape[0] != len(positions):
-            raise ShapeMismatch(
-                f"{name} holds {maps.shape[0]} patches for {len(positions)} positions"
-            )
-        patches = [(RealRaster(maps[k], hp), positions[k]) for k in range(maps.shape[0])]
-        stitched[name] = stitch_alpha_blend(patches, (n, n))
+    stitched = {
+        name: stitch_alpha_blend(_load(analyze_dir, f"{name}.puqt")[0], positions, (n, n))
+        for name in ANALYSIS_MAPS
+    }
 
-    info = _read_lines(Path(analyze_dir) / "analysis.txt")
-    epsilon = float(info["epsilon"])
+    path = Path(analyze_dir) / "analysis.txt"
+    epsilon = _required(_read_lines(path), "epsilon", path, float)
     # blending is convex so values stay in [0, 1] up to rounding
-    cmap = CredibilityMap(
-        RealRaster(np.clip(stitched["credibility"].data, 0.0, 1.0), hp), epsilon
-    )
+    cmap = CredibilityMap(RealRaster(np.clip(stitched["credibility"], 0.0, 1.0), hp), epsilon)
 
     def region_mean(mask: np.ndarray) -> float:
         return averaged_credibility(cmap, mask) if mask.any() else float("nan")
@@ -561,8 +572,8 @@ def stitch_stage(
 
     inputs = {"preprocess": preprocess_dir, "analyze": analyze_dir}
     with _run(out_root, "stitch", cfg, inputs, export_pgm=export_pgm) as run:
-        for name, raster in stitched.items():
-            run.save(f"stitched_{name}.puqt", raster.data, [("pitch", hp)], preview=True)
+        for name, frame in stitched.items():
+            run.save(f"stitched_{name}.puqt", frame, [("pitch", hp)], preview=True)
         run.lines(
             "summary.txt",
             [

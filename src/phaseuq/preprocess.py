@@ -17,11 +17,14 @@ from .errors import (
     DegenerateRange,
     MaskTooSmall,
     NonFiniteInput,
+    ShapeMismatch,
     SizeMismatch,
 )
 from .grid import RealRaster
 
 TWO_PI = 2.0 * math.pi
+# fewest background pixels a noise estimate is taken from
+MIN_BACKGROUND_PIXELS = 100
 
 
 def wrap_phase(values: np.ndarray) -> np.ndarray:
@@ -102,8 +105,10 @@ class NoiseEstimate:
     def __post_init__(self):
         if not (self.sigma_background >= 0.0):
             raise NonFiniteInput(f"sigma must be >= 0, got {self.sigma_background}")
-        if self.pixel_count < 100:
-            raise MaskTooSmall(f"need >= 100 background pixels, got {self.pixel_count}")
+        if self.pixel_count < MIN_BACKGROUND_PIXELS:
+            raise MaskTooSmall(
+                f"need >= {MIN_BACKGROUND_PIXELS} background pixels, got {self.pixel_count}"
+            )
 
 
 def estimate_noise(phase: RealRaster, background_mask: np.ndarray) -> NoiseEstimate:
@@ -112,8 +117,8 @@ def estimate_noise(phase: RealRaster, background_mask: np.ndarray) -> NoiseEstim
     if mask.shape != phase.shape:
         raise SizeMismatch(f"mask {mask.shape} does not match raster {phase.shape}")
     count = int(mask.sum())
-    if count < 100:
-        raise MaskTooSmall(f"need >= 100 background pixels, got {count}")
+    if count < MIN_BACKGROUND_PIXELS:
+        raise MaskTooSmall(f"need >= {MIN_BACKGROUND_PIXELS} background pixels, got {count}")
     sigma = float(np.std(phase.data[mask], ddof=1))
     return NoiseEstimate(sigma, count)
 
@@ -170,28 +175,29 @@ def _ramp_profile(n: int) -> np.ndarray:
 
 
 def stitch_alpha_blend(
-    patches: list[tuple[RealRaster, tuple[int, int]]],
-    out_shape: tuple[int, int],
-) -> RealRaster:
-    """Weighted mosaic: separable triangular ramps, normalized per pixel."""
-    if not patches:
+    patches: np.ndarray, positions: list[tuple[int, int]], out_shape: tuple[int, int]
+) -> np.ndarray:
+    """Mosaic of a (K, h, w) patch tensor at K (row, col) positions, ramp-weighted."""
+    if len(patches) == 0:
         raise SizeMismatch("no patches to stitch")
+    if len(patches) != len(positions):
+        raise ShapeMismatch(f"{len(patches)} patches for {len(positions)} positions")
+    patches = np.asarray(patches, dtype=float)
+    if patches.ndim != 3:
+        raise ShapeMismatch(f"patches must be (K, h, w), got {patches.shape}")
     out_h, out_w = out_shape
-    pitches = {p.pitch for p, _ in patches}
-    if len(pitches) != 1:
-        raise SizeMismatch("patches must share one pitch")
+    ph, pw = patches.shape[1:]
+    w = _ramp_profile(ph)[:, None] * _ramp_profile(pw)[None, :]
     num = np.zeros((out_h, out_w))
     den = np.zeros((out_h, out_w))
-    for patch, (r, c) in patches:
-        ph, pw = patch.shape
+    for patch, (r, c) in zip(patches, positions):
         if r < 0 or c < 0 or r + ph > out_h or c + pw > out_w:
             raise SizeMismatch(
                 f"{ph}x{pw} patch at ({r}, {c}) leaves the {out_h}x{out_w} frame"
             )
-        w = _ramp_profile(ph)[:, None] * _ramp_profile(pw)[None, :]
-        num[r : r + ph, c : c + pw] += w * patch.data
+        num[r : r + ph, c : c + pw] += w * patch
         den[r : r + ph, c : c + pw] += w
     if np.any(den == 0.0):
         gaps = int(np.count_nonzero(den == 0.0))
         raise CoverageGap(f"{gaps} output pixels are covered by no patch")
-    return RealRaster(num / den, pitches.pop())
+    return num / den

@@ -135,23 +135,16 @@ class ReliabilityDiagram:
 _BLOCK_PIXELS = 16_384
 
 
-def _stacks(ens: PredictiveEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    mus = np.stack([m.mu.data for m in ens.members])
-    sigmas = np.stack([m.sigma for m in ens.members])
-    return mus, sigmas
-
-
 def _check_sigma(sigma: np.ndarray) -> None:
     if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
         raise NonPositiveSigma("sigma must be finite and > 0")
 
 
 def _flat_stacks(ens: PredictiveEnsemble):
-    """Member x pixel stacks with sigma checked, and the mixture mean."""
-    mus, sigmas = _stacks(ens)
+    """Member x pixel stacks of mu and sigma, sigma checked, and the mixture mean."""
+    mus = np.stack([m.mu.data.ravel() for m in ens.members])
+    sigmas = np.stack([m.sigma.ravel() for m in ens.members])
     _check_sigma(sigmas)
-    mus = mus.reshape(mus.shape[0], -1)
-    sigmas = sigmas.reshape(sigmas.shape[0], -1)
     return mus, sigmas, mus.mean(axis=0)
 
 
@@ -208,17 +201,13 @@ def decompose_uncertainty(ens: PredictiveEnsemble) -> UncertaintyMaps:
     model^2 = population variance of the member means, and
     total^2 = data^2 + model^2 exactly.
     """
-    mus, sigmas = _stacks(ens)
+    mus, sigmas, mu_hat = _flat_stacks(ens)
+    shape = ens.members[0].mu.shape
     pitch = ens.members[0].mu.pitch
-    mu_hat = mus.mean(axis=0)
     data_var = (2.0 * sigmas**2).mean(axis=0)
     model_var = ((mus - mu_hat) ** 2).mean(axis=0)
-    return UncertaintyMaps(
-        mean=RealRaster(mu_hat, pitch),
-        data_sigma=RealRaster(np.sqrt(data_var), pitch),
-        model_sigma=RealRaster(np.sqrt(model_var), pitch),
-        total_sigma=RealRaster(np.sqrt(data_var + model_var), pitch),
-    )
+    flat = (mu_hat, np.sqrt(data_var), np.sqrt(model_var), np.sqrt(data_var + model_var))
+    return UncertaintyMaps(*(RealRaster(a.reshape(shape), pitch) for a in flat))
 
 
 def credibility_map(ens: PredictiveEnsemble, epsilon: float) -> CredibilityMap:
@@ -278,32 +267,32 @@ def credible_bound(
 
 
 def reliability_diagram(
-    ens: PredictiveEnsemble,
+    cmap: CredibilityMap,
+    mean: RealRaster,
     truth: RealRaster,
-    epsilon: float,
     delta_p: float = 0.04,
     min_count: int = 100,
 ) -> ReliabilityDiagram:
     """Bin pixels by credibility and compare against empirical accuracy.
 
-    Pixels land in bins ((m-1) dp, m dp] by their credibility, with
-    p = 0 assigned to the first bin. Per bin: the mean credibility, the
-    fraction of pixels whose true value lies within +-epsilon of the
-    ensemble mean, and the pixel count. Bins with fewer than min_count
-    pixels are flagged and left out of summary statistics.
+    cmap is the ensemble's credibility map at epsilon = cmap.epsilon and
+    mean its mixture mean. Pixels land in bins ((m-1) dp, m dp] by their
+    credibility, with p = 0 assigned to the first bin. Per bin: the mean
+    credibility, the fraction of pixels whose true value lies within
+    +-epsilon of the mean, and the pixel count. Bins with fewer than
+    min_count pixels are flagged and left out of summary statistics.
     """
     n_bins = round(1.0 / delta_p)
     if not math.isclose(n_bins * delta_p, 1.0, rel_tol=0.0, abs_tol=1e-12):
         raise NonFiniteInput(f"1/delta_p must be an integer, got {delta_p}")
-    mus, sigmas = _stacks(ens)
-    if truth.shape != mus.shape[1:]:
+    if not (truth.shape == mean.shape == cmap.values.shape):
         raise ShapeMismatch(
-            f"truth shape {truth.shape} does not match ensemble {mus.shape[1:]}"
+            f"truth {truth.shape}, mean {mean.shape} and credibility "
+            f"{cmap.values.shape} must share one shape"
         )
-    cmap = credibility_map(ens, epsilon)
+    epsilon = cmap.epsilon
     p = cmap.values.data.ravel()
-    mu_hat = mus.mean(axis=0).ravel()
-    hit = np.abs(mu_hat - truth.data.ravel()) <= epsilon
+    hit = np.abs(mean.data.ravel() - truth.data.ravel()) <= epsilon
 
     idx = np.ceil(p / delta_p).astype(int)  # (lo, hi] binning
     idx[idx < 1] = 1  # p = 0 joins the first bin

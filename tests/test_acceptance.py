@@ -36,7 +36,7 @@ from phaseuq.learner import (
     train,
     train_ensemble,
 )
-from phaseuq.learner import _forward_batch
+from phaseuq.learner import _forward_cols
 from phaseuq.optics import (
     IlluminationPattern,
     design_patterns,
@@ -183,8 +183,9 @@ def test_03_pattern_design_counts_and_coverage():
 
 
 def relu_signature(params, x, y):
-    out, (_, z1, _, z2, _, z3, _) = _forward_batch(params, x[None], np.ones((1, 32)))
-    return (z1 > 0, z2 > 0, z3 > 0, np.sign(y - out[:, 0]))
+    ones = np.ones((1, 32))
+    out, (_, z1, _, z2, _, z3, _), _ = _forward_cols(params.as_list(), x[None], ones)
+    return (z1 > 0, z2 > 0, z3 > 0, np.sign(y - out[0]))
 
 
 def test_04_analytic_gradients_match_finite_differences():
@@ -341,7 +342,8 @@ def test_08_reliability_diagram_self_consistency():
     member = PredictiveMap(RealRaster(mu), RealRaster(np.log(sigma)))
     ens = PredictiveEnsemble((member,))
 
-    diagram = reliability_diagram(ens, truth, eps, delta_p=0.04)
+    mean = decompose_uncertainty(ens).mean
+    diagram = reliability_diagram(credibility_map(ens, eps), mean, truth, delta_p=0.04)
     checked = sum(b.count for b in diagram.populated)
     gap = diagram.max_gap()
 
@@ -448,9 +450,9 @@ def test_12_preprocessing_identities():
 
     field = RealRaster(bump_field(96, 5))
     grid = PatchGrid(32, 32, 24, 24, 96, 96)
-    patches = list(zip(extract_patches(field, grid), grid.positions()))
+    patches = np.stack([p.data for p in extract_patches(field, grid)])
     stitch_err = float(
-        np.max(np.abs(stitch_alpha_blend(patches, (96, 96)).data - field.data))
+        np.max(np.abs(stitch_alpha_blend(patches, grid.positions(), (96, 96)) - field.data))
     )
 
     rng = np.random.default_rng(8)
@@ -459,10 +461,10 @@ def test_12_preprocessing_identities():
     twice = clip_dynamic_range(once, 0.01)
     clip_idempotent = bool(np.array_equal(once.data, twice.data))
 
-    ones = [
-        (RealRaster(np.ones((32, 32))), pos) for pos in grid.positions()
-    ]
-    blend_err = float(np.max(np.abs(stitch_alpha_blend(ones, (96, 96)).data - 1.0)))
+    ones = np.ones((len(grid.positions()), 32, 32))
+    blend_err = float(
+        np.max(np.abs(stitch_alpha_blend(ones, grid.positions(), (96, 96)) - 1.0))
+    )
 
     elapsed = time.time() - t0
     report(12, f"unwrap err {unwrap_err:.1e}, stitch err {stitch_err:.1e}, "

@@ -6,6 +6,7 @@ process-level contract (exit codes, error lines, flags) on cheap commands.
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -255,11 +256,27 @@ def test_analyze_artifacts(chain):
 
 
 def test_analyze_reliability_csv(chain):
-    lines = (chain["analyze"] / "reliability.csv").read_text().splitlines()
+    run = chain["analyze"]
+    lines = (run / "reliability.csv").read_text().splitlines()
     assert lines[0] == "bin_lo,bin_hi,avg_credibility,accuracy,count"
     assert len(lines) == 26  # header + one row per bin at delta_p 0.04
     counts = [int(line.split(",")[4]) for line in lines[1:]]
     assert sum(counts) == 16 * 16 * 16
+
+    # every bin again from the saved maps: bins are (lo, hi], p = 0 joins the first
+    cred, _ = read_tensor(run / "credibility.puqt")
+    mean, _ = read_tensor(run / "mean.puqt")
+    ys, _ = read_tensor(chain["preprocess"] / "patches_targets.puqt")
+    info = dict(line.split(" ", 1) for line in (run / "analysis.txt").read_text().splitlines())
+    p = cred.ravel()
+    hit = (np.abs(mean - ys) <= float(info["epsilon"])).ravel()
+    for m, line in enumerate(lines[1:]):
+        lo, hi, avg, acc, count = (float(v) for v in line.split(","))
+        sel = (p > lo) & (p <= hi) | ((p == 0.0) & (m == 0))
+        assert int(count) == np.count_nonzero(sel)
+        if sel.any():
+            assert abs(avg - p[sel].mean()) <= 1e-12
+            assert abs(acc - hit[sel].mean()) <= 1e-12
 
 
 def test_analysis_summary_keys(chain):
@@ -292,19 +309,14 @@ def test_stitch_artifacts(chain):
 
 def test_stitch_mean_matches_targets(chain):
     """Stitching the target patches back must reproduce the truth."""
-    from phaseuq.grid import RealRaster
     from phaseuq.preprocess import stitch_alpha_blend
 
     run = chain["preprocess"]
     truth, _ = read_tensor(run / "truth_normalized.puqt")
     ys, _ = read_tensor(run / "patches_targets.puqt")
     pos, _ = read_tensor(run / "patches_positions.puqt")
-    patches = [
-        (RealRaster(ys[k], 1.0), (int(pos[k, 0]), int(pos[k, 1])))
-        for k in range(ys.shape[0])
-    ]
-    back = stitch_alpha_blend(patches, truth.shape)
-    np.testing.assert_allclose(back.data, truth, atol=1e-10)
+    back = stitch_alpha_blend(ys, [(int(r), int(c)) for r, c in pos], truth.shape)
+    np.testing.assert_allclose(back, truth, atol=1e-10)
 
 
 # ------------------------------------------------------------ CLI surface
@@ -486,6 +498,65 @@ def test_cli_train_export_pgm_writes_no_preview(chain, tmp_path, capsys):
     assert rc == 0
     files = sorted(p.name for p in (out / "train-001").iterdir())
     assert files == ["checkpoint_000.puqt", "checkpoint_001.puqt", "manifest.txt"]
+
+
+def _run_stage(tmp_path, command, **dirs):
+    paths = "".join(f"  {key} {value}\n" for key, value in dirs.items())
+    text = SMALL + f"\npaths {{\n{paths}}}\n"
+    return main([command, "--config", _write_cfg(tmp_path, text), "--out", str(tmp_path / "r")])
+
+
+def _one_error_line(capsys, code):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ERROR_LINE.match(err.strip()), err
+    assert f"code={code} " in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "text", ["pixel_count 400\n", "sigma_background abc\n"], ids=["missing", "not-a-number"]
+)
+def test_cli_malformed_noise_file_is_one_error_line(chain, tmp_path, capsys, text):
+    pre = tmp_path / "pre"
+    shutil.copytree(chain["preprocess"], pre)
+    (pre / "noise.txt").write_text(text, encoding="utf-8")
+    rc = _run_stage(tmp_path, "analyze", preprocess_dir=pre, predict_dir=chain["predict"])
+    err = _one_error_line(capsys, "FormatError")
+    assert rc == 1 and "noise.txt" in err and "sigma_background" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["policy background-noise\n", "epsilon abc\n"], ids=["missing", "not-a-number"]
+)
+def test_cli_malformed_analysis_file_is_one_error_line(chain, tmp_path, capsys, text):
+    ana = tmp_path / "ana"
+    shutil.copytree(chain["analyze"], ana)
+    (ana / "analysis.txt").write_text(text, encoding="utf-8")
+    rc = _run_stage(tmp_path, "stitch", preprocess_dir=chain["preprocess"], analyze_dir=ana)
+    err = _one_error_line(capsys, "FormatError")
+    assert rc == 1 and "analysis.txt" in err and "epsilon" in err
+
+
+def test_cli_non_integer_led_is_one_error_line(chain, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    shutil.copytree(chain["simulate"], sim)
+    stack, meta = read_tensor(sim / "led_stack.puqt")
+    write_tensor(sim / "led_stack.puqt", stack, meta.replace("leds ", "leds 1.5 ", 1))
+    rc = _run_stage(tmp_path, "sfpm", simulate_dir=sim)
+    err = _one_error_line(capsys, "FormatError")
+    assert rc == 1 and "led_stack.puqt" in err and "leds" in err
+
+
+def test_cli_zero_sigma_is_one_error_line(chain, tmp_path, capsys):
+    prd = tmp_path / "prd"
+    shutil.copytree(chain["predict"], prd)
+    sigma, meta = read_tensor(prd / "sigma.puqt")
+    sigma[1, 2, 3, 4] = 0.0
+    write_tensor(prd / "sigma.puqt", sigma, meta)
+    rc = _run_stage(tmp_path, "analyze", preprocess_dir=chain["preprocess"], predict_dir=prd)
+    err = _one_error_line(capsys, "NonPositiveSigma")
+    assert rc == 1 and "sigma.puqt" in err
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -32,7 +32,7 @@ from phaseuq.learner import (
     train,
     train_ensemble,
 )
-from phaseuq.learner import _backward_batch, _forward_batch, _loss_and_grad_out, _mask_for
+from phaseuq.learner import _backward_batch, _forward_cols, _loss_and_grad_out, _sample_mask
 
 
 def flatten(params):
@@ -164,8 +164,9 @@ def test_nll_shape_mismatch():
 
 
 def relu_signature(params, x, y):
-    out, (_, z1, _, z2, _, z3, _) = _forward_batch(params, x[None], np.ones((1, 32)))
-    return (z1 > 0, z2 > 0, z3 > 0, np.sign(y - out[:, 0]))
+    ones = np.ones((1, 32))
+    out, (_, z1, _, z2, _, z3, _), _ = _forward_cols(params.as_list(), x[None], ones)
+    return (z1 > 0, z2 > 0, z3 > 0, np.sign(y - out[0]))
 
 
 def test_gradcheck_against_central_differences():
@@ -258,9 +259,9 @@ def test_kernels_match_scipy_reference():
     assert (mask == 0.0).any(axis=1).all()
     params = unflatten(0.3 * rng.normal(size=flatten(init_params(0)).size))
     want_out, want_grads = reference_gradients(params, x, y, mask)
-    out, _ = _forward_batch(params, x, mask)
-    grads, _ = _backward_batch(params, x, y, mask)
-    for got, want in [(out, want_out), *zip(grads.as_list(), want_grads)]:
+    out, _, _ = _forward_cols(params.as_list(), x, mask)
+    grads, _ = _backward_batch(params.as_list(), x, y, mask)
+    for got, want in [(out.transpose(1, 0, 2, 3), want_out), *zip(grads, want_grads)]:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -271,7 +272,7 @@ def test_dropout_masked_channel_gets_zero_gradient():
     y = rng.normal(size=(12, 12))
     params = init_params(9)
     rate, seed = 0.5, 123
-    mask = _mask_for(rate, seed)[0]
+    mask = _sample_mask(1, rate, np.random.default_rng(seed))[0]
     dead = np.flatnonzero(mask == 0.0)
     assert dead.size > 0
     grads, _ = backward(params, x, y, dropout_rate=rate, dropout_seed=seed)

@@ -7,6 +7,7 @@ from phaseuq.errors import (
     DegenerateRange,
     MaskTooSmall,
     NonFiniteInput,
+    ShapeMismatch,
     SizeMismatch,
 )
 from phaseuq.grid import RealRaster
@@ -212,48 +213,43 @@ def test_patch_grid_validation():
 
 
 def test_stitch_constant_patches_exact():
-    patches = [
-        (RealRaster(np.full((32, 32), 2.5)), (0, 0)),
-        (RealRaster(np.full((32, 32), 2.5)), (16, 16)),
-        (RealRaster(np.full((32, 32), 2.5)), (32, 32)),
-        (RealRaster(np.full((32, 32), 2.5)), (0, 32)),
-        (RealRaster(np.full((32, 32), 2.5)), (32, 0)),
-    ]
-    out = stitch_alpha_blend(patches, (64, 64))
-    assert np.max(np.abs(out.data - 2.5)) < 1e-12
+    positions = [(0, 0), (16, 16), (32, 32), (0, 32), (32, 0)]
+    out = stitch_alpha_blend(np.full((5, 32, 32), 2.5), positions, (64, 64))
+    assert np.max(np.abs(out - 2.5)) < 1e-12
 
 
 def test_stitch_single_patch_identity():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((48, 48))
-    out = stitch_alpha_blend([(RealRaster(x), (0, 0))], (48, 48))
-    assert np.max(np.abs(out.data - x)) < 1e-12
+    out = stitch_alpha_blend(x[None], [(0, 0)], (48, 48))
+    assert np.max(np.abs(out - x)) < 1e-12
 
 
 def test_stitch_extract_roundtrip():
     rng = np.random.default_rng(11)
     x = RealRaster(rng.standard_normal((96, 96)))
     g = PatchGrid(32, 32, 16, 16, 96, 96)
-    patches = list(zip(extract_patches(x, g), g.positions()))
-    out = stitch_alpha_blend(patches, (96, 96))
+    patches = np.stack([p.data for p in extract_patches(x, g)])
+    out = stitch_alpha_blend(patches, g.positions(), (96, 96))
     scale = np.max(np.abs(x.data))
-    assert np.max(np.abs(out.data - x.data)) < 1e-10 * scale
+    assert np.max(np.abs(out - x.data)) < 1e-10 * scale
 
 
 def test_stitch_coverage_gap():
-    patches = [
-        (RealRaster(np.ones((16, 16))), (0, 0)),
-        (RealRaster(np.ones((16, 16))), (32, 32)),
-    ]
     with pytest.raises(CoverageGap):
-        stitch_alpha_blend(patches, (48, 48))
+        stitch_alpha_blend(np.ones((2, 16, 16)), [(0, 0), (32, 32)], (48, 48))
 
 
 def test_stitch_out_of_frame():
     with pytest.raises(SizeMismatch):
-        stitch_alpha_blend([(RealRaster(np.ones((16, 16))), (40, 0))], (48, 48))
+        stitch_alpha_blend(np.ones((1, 16, 16)), [(40, 0)], (48, 48))
 
 
 def test_stitch_empty():
     with pytest.raises(SizeMismatch):
-        stitch_alpha_blend([], (8, 8))
+        stitch_alpha_blend(np.empty((0, 4, 4)), [], (8, 8))
+
+
+def test_stitch_patch_count_mismatch():
+    with pytest.raises(ShapeMismatch, match="3 patches for 2 positions"):
+        stitch_alpha_blend(np.ones((3, 16, 16)), [(0, 0), (16, 16)], (32, 32))

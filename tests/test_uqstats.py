@@ -305,9 +305,17 @@ def test_blockwise_rejects_zero_sigma():
         credibility_map(ens, 0.05)
     with pytest.raises(NonPositiveSigma):
         credible_bound(ens, 0.9)
+    with pytest.raises(NonPositiveSigma):
+        decompose_uncertainty(ens)
 
 
 # ------------------------------------------------------ reliability_diagram
+
+
+def diagram_of(ens, truth, eps, **kwargs):
+    """The ensemble's diagram, binned from its own credibility map and mean."""
+    mean = decompose_uncertainty(ens).mean
+    return reliability_diagram(credibility_map(ens, eps), mean, truth, **kwargs)
 
 
 def calibrated_setup(n_px=409600, eps=1.0, seed=21):
@@ -326,7 +334,7 @@ def calibrated_setup(n_px=409600, eps=1.0, seed=21):
 
 def test_diagram_has_25_bins():
     ens, truth, eps = calibrated_setup(n_px=4096)
-    diag = reliability_diagram(ens, truth, eps, delta_p=0.04)
+    diag = diagram_of(ens, truth, eps, delta_p=0.04)
     assert len(diag.bins) == 25
     assert diag.bins[0].lo == 0.0
     assert abs(diag.bins[-1].hi - 1.0) < 1e-12
@@ -336,7 +344,7 @@ def test_diagram_degenerate_single_bin():
     sigma = 0.5
     ens = mk_ensemble([mk_map(np.zeros((40, 40)), np.full((40, 40), sigma))])
     truth = RealRaster(np.zeros((40, 40)))
-    diag = reliability_diagram(ens, truth, 3.0 * sigma)
+    diag = diagram_of(ens, truth, 3.0 * sigma)
     populated = [b for b in diag.bins if b.count > 0]
     assert len(populated) == 1
     assert populated[0].count == 1600
@@ -344,7 +352,7 @@ def test_diagram_degenerate_single_bin():
 
 def test_diagram_self_consistent_calibration():
     ens, truth, eps = calibrated_setup()
-    diag = reliability_diagram(ens, truth, eps)
+    diag = diagram_of(ens, truth, eps)
     checked = 0
     for b in diag.populated:
         assert abs(b.accuracy - b.credibility) < 0.02
@@ -354,13 +362,13 @@ def test_diagram_self_consistent_calibration():
 
 def test_diagram_counts_cover_all_pixels():
     ens, truth, eps = calibrated_setup(n_px=2048)
-    diag = reliability_diagram(ens, truth, eps)
+    diag = diagram_of(ens, truth, eps)
     assert sum(b.count for b in diag.bins) == 2048
 
 
 def test_diagram_flags_thin_bins():
     ens, truth, eps = calibrated_setup(n_px=2048)
-    diag = reliability_diagram(ens, truth, eps, min_count=10**6)
+    diag = diagram_of(ens, truth, eps, min_count=10**6)
     assert all(b.flagged for b in diag.bins)
     assert diag.populated == ()
 
@@ -368,18 +376,18 @@ def test_diagram_flags_thin_bins():
 def test_diagram_shape_mismatch():
     ens, _, eps = calibrated_setup(n_px=2048)
     with pytest.raises(ShapeMismatch):
-        reliability_diagram(ens, RealRaster(np.zeros((3, 3))), eps)
+        diagram_of(ens, RealRaster(np.zeros((3, 3))), eps)
 
 
 def test_diagram_rejects_non_integer_bins():
     ens, truth, eps = calibrated_setup(n_px=2048)
     with pytest.raises(NonFiniteInput):
-        reliability_diagram(ens, truth, eps, delta_p=0.03)
+        diagram_of(ens, truth, eps, delta_p=0.03)
 
 
 def test_diagram_csv_roundtrip(tmp_path):
     ens, truth, eps = calibrated_setup(n_px=4096)
-    diag = reliability_diagram(ens, truth, eps)
+    diag = diagram_of(ens, truth, eps)
     path = tmp_path / "diagram.csv"
     diag.to_csv(path)
     lines = path.read_text().splitlines()
