@@ -21,7 +21,12 @@ channel-major, (c, n, h, w); the column matrix of a layer input x is
 (9c, n*h*w), built from the 9 shifted slices of the zero-padded x, so the
 layer is k.reshape(o, 9c) @ cols. The forward pass keeps each layer's
 column matrix and the backward pass reuses it for the kernel gradient;
-the input gradient of the first layer is never formed. Ensemble members
+the input gradient of the first layer is never formed. All of these
+arrays live in one workspace: the padded input, the four column matrices
+and the layer outputs are allocated once per ``train()`` call, sized for
+a full batch, and every step (the short last batch included) writes into
+them. The backward pass builds its input-gradient columns and outputs in
+buffers the forward pass has finished with. Ensemble members
 train one after another; the BLAS library's own threads inside the GEMMs
 are the only parallelism, and they do not change any result.
 """
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -168,44 +174,101 @@ class PredictiveEnsemble:
     def size(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Member x pixel stacks of mu and sigma and the mixture mean, built once.
+
+        The arrays are read-only, since every caller of this ensemble shares them.
+        """
+        mus = np.stack([m.mu.data.ravel() for m in self.members])
+        sigmas = np.stack([m.sigma.ravel() for m in self.members])
+        arrays = (mus, sigmas, mus.mean(axis=0))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
 
 # ------------------------------------------------------------ plumbing
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """The buffers of one batched pass, for up to n samples of h x w.
+
+    Each buffer is flat and sized for n samples; a batch of m <= n samples
+    uses a prefix of it, reshaped. The padded buffer's (h + 2) x (w + 2)
+    planes are only ever written inside their zero border, and any prefix
+    of it is whole planes, so the border stays zero for every channel count
+    and batch size.
+    """
+
+    def __init__(self, n: int, h: int, w: int):
+        self.n, self.hw = n, (h, w)
+        px = n * h * w
+        self.pad = np.zeros(max(CHANNELS) * n * (h + 2) * (w + 2))
+        # column matrices of the four layer inputs
+        self.cols = [np.empty(9 * c * px) for c in CHANNELS[:-1]]
+        # GEMM outputs z1, z2, z3 and the network output
+        self.z = [np.empty(c * px) for c in CHANNELS[1:]]
+        # activations a1, d2, a3, overwritten by their gradients in backward
+        self.acts = [np.empty(c * px) for c in CHANNELS[1:-1]]
+
+
+def _workspace_for(x: np.ndarray, ws: _Workspace | None) -> _Workspace:
+    n, _, h, w = x.shape
+    if ws is None:
+        return _Workspace(n, h, w)
+    if n > ws.n or (h, w) != ws.hw:
+        raise ShapeMismatch(f"batch {x.shape} does not fit a workspace for {ws.n} x {ws.hw}")
+    return ws
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _im2col(x: np.ndarray, pad: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(c, n, h, w) -> (9c, n*h*w) column matrix of zero-padded 3x3 windows.
 
-    Row 9*ci + 3*dy + dx holds channel ci shifted by (dy - 1, dx - 1), the
+    Built in the buffer cols, through the zero-bordered buffer pad. Row
+    9*ci + 3*dy + dx holds channel ci shifted by (dy - 1, dx - 1), the
     order of k.reshape(o, 9c) for a kernel k of shape (o, c, 3, 3).
     """
     c, n, h, w = x.shape
-    xp = np.zeros((c, n, h + 2, w + 2))
+    xp = _view(pad, (c, n, h + 2, w + 2))
     xp[:, :, 1:-1, 1:-1] = x
-    cols = np.empty((c, 9, n, h, w))
+    out = _view(cols, (c, 9, n, h, w))
     for dy in range(3):
         for dx in range(3):
-            cols[:, 3 * dy + dx] = xp[:, :, dy : dy + h, dx : dx + w]
-    return cols.reshape(9 * c, n * h * w)
+            out[:, 3 * dy + dx] = xp[:, :, dy : dy + h, dx : dx + w]
+    return out.reshape(9 * c, n * h * w)
 
 
-def _conv3(cols: np.ndarray, k: np.ndarray, shape) -> np.ndarray:
-    # one GEMM: (o, 9c) @ (9c, n*h*w) -> (o, n, h, w), channel-major
-    return (k.reshape(k.shape[0], -1) @ cols).reshape(k.shape[0], *shape)
+def _conv3(cols: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # one GEMM: (o, 9c) @ (9c, n*h*w) into out, (o, n, h, w) channel-major
+    np.matmul(k.reshape(k.shape[0], -1), cols, out=out.reshape(k.shape[0], -1))
+    return out
 
 
-def _conv3_grad(cols, k, dy, need_dx=True):
-    """Gradients of y = conv3(x, k) + b given upstream dy, all channel-major.
+def _conv3_grad(cols, k, dy):
+    """Kernel and bias gradients of y = conv3(x, k) + b given upstream dy.
 
-    cols is the forward pass's column matrix of x, reused for dk. dx is a
-    3x3 convolution of dy with the flipped, transposed kernel.
+    cols is the forward pass's column matrix of x; dy is channel-major.
     """
     dy2 = dy.reshape(dy.shape[0], -1)
-    dk = (dy2 @ cols.T).reshape(k.shape)
-    db = dy2.sum(axis=1)
-    if not need_dx:
-        return dk, db, None
+    return (dy2 @ cols.T).reshape(k.shape), dy2.sum(axis=1)
+
+
+def _conv3_dx(ws: _Workspace, layer: int, k, dy):
+    """Input gradient of the 0-based layer 1, 2 or 3 given upstream dy.
+
+    dx is a 3x3 convolution of dy with the flipped, transposed kernel. Its
+    columns go into the column buffer of the layer above (the top layer's
+    own), whose kernel gradient is already done, and dx replaces the
+    activation it is the gradient of.
+    """
     kf = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return dk, db, _conv3(_im2col(dy), kf, dy.shape[1:])
+    cols = _im2col(dy, ws.pad, ws.cols[min(layer + 1, 3)])
+    return _conv3(cols, kf, _view(ws.acts[layer - 1], (kf.shape[0], *dy.shape[1:])))
 
 
 def _sample_mask(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -221,28 +284,36 @@ def _swap_nc(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2, 3)
 
 
-def _forward_cols(params, x, mask):
+def _forward_cols(params, x, mask, ws=None):
     """Forward pass in channel-major (c, n, h, w) layout.
 
     params holds the eight arrays in ``RegressorParams.as_list()`` order.
     Returns the output (2, n, h, w), the activations and the four column
-    matrices, which the backward pass reuses for the kernel gradients.
+    matrices, which the backward pass reuses for the kernel gradients. They
+    live in the workspace ws, built for this call when none is given, and
+    hold until its next use.
     """
-    k1, b1, k2, b2, k3, b3, k4, b4 = params
+    ws = _workspace_for(x, ws)
     shape = (x.shape[0], *x.shape[2:])
+
+    def layer(i, a):
+        cols = _im2col(a, ws.pad, ws.cols[i])
+        z = _conv3(cols, params[2 * i], _view(ws.z[i], (CHANNELS[i + 1], *shape)))
+        z += params[2 * i + 1][:, None, None, None]
+        return cols, z
+
+    def relu(i, z):
+        return np.maximum(z, 0.0, out=_view(ws.acts[i], z.shape))
+
     x0 = _swap_nc(x)
-    c1 = _im2col(x0)
-    z1 = _conv3(c1, k1, shape) + b1[:, None, None, None]
-    a1 = np.maximum(z1, 0.0)
-    c2 = _im2col(a1)
-    z2 = _conv3(c2, k2, shape) + b2[:, None, None, None]
-    a2 = np.maximum(z2, 0.0)
-    d2 = a2 * mask.T[:, :, None, None]
-    c3 = _im2col(d2)
-    z3 = _conv3(c3, k3, shape) + b3[:, None, None, None]
-    a3 = np.maximum(z3, 0.0)
-    c4 = _im2col(a3)
-    out = _conv3(c4, k4, shape) + b4[:, None, None, None]
+    c1, z1 = layer(0, x0)
+    a1 = relu(0, z1)
+    c2, z2 = layer(1, a1)
+    d2 = relu(1, z2)
+    d2 *= mask.T[:, :, None, None]
+    c3, z3 = layer(2, d2)
+    a3 = relu(2, z3)
+    c4, out = layer(3, a3)
     return out, (x0, z1, a1, z2, d2, z3, a3), (c1, c2, c3, c4)
 
 
@@ -261,21 +332,29 @@ def _loss_and_grad_out(out, y):
     return loss, np.stack([dmu, ds], axis=1)
 
 
-def _backward_batch(params, x, y, mask):
-    """Loss gradients as a list in ``as_list()`` order, and the loss."""
-    out, (_, z1, _, z2, _, z3, _), (c1, c2, c3, c4) = _forward_cols(params, x, mask)
+def _backward_batch(params, x, y, mask, ws=None):
+    """Loss gradients as a list in ``as_list()`` order, and the loss.
+
+    Runs in the workspace ws, built for this call when none is given.
+    """
+    ws = _workspace_for(x, ws)
+    out, (_, z1, _, z2, _, z3, _), (c1, c2, c3, c4) = _forward_cols(params, x, mask, ws)
     loss, dout = _loss_and_grad_out(_swap_nc(out), y)
     if not math.isfinite(loss):
         raise DivergedLoss(f"loss became {loss}")
     dout = _swap_nc(dout)
     k1, _, k2, _, k3, _, k4, _ = params
-    dk4, db4, da3 = _conv3_grad(c4, k4, dout)
-    dz3 = da3 * (z3 > 0.0)
-    dk3, db3, dd2 = _conv3_grad(c3, k3, dz3)
-    dz2 = dd2 * mask.T[:, :, None, None] * (z2 > 0.0)
-    dk2, db2, da1 = _conv3_grad(c2, k2, dz2)
-    dz1 = da1 * (z1 > 0.0)
-    dk1, db1, _ = _conv3_grad(c1, k1, dz1, need_dx=False)
+    dk4, db4 = _conv3_grad(c4, k4, dout)
+    dz3 = _conv3_dx(ws, 3, k4, dout)
+    dz3 *= z3 > 0.0
+    dk3, db3 = _conv3_grad(c3, k3, dz3)
+    dz2 = _conv3_dx(ws, 2, k3, dz3)
+    dz2 *= mask.T[:, :, None, None]
+    dz2 *= z2 > 0.0
+    dk2, db2 = _conv3_grad(c2, k2, dz2)
+    dz1 = _conv3_dx(ws, 1, k2, dz2)
+    dz1 *= z1 > 0.0
+    dk1, db1 = _conv3_grad(c1, k1, dz1)
     return [dk1, db1, dk2, db2, dk3, db3, dk4, db4], loss
 
 
@@ -346,13 +425,14 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
     params = init_params(cfg.seed).as_list()
     m = [np.zeros_like(a) for a in params]
     v = [np.zeros_like(a) for a in params]
+    ws = _Workspace(min(cfg.batch_size, len(pairs)), *x.shape[2:])
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(pairs))
         for start in range(0, len(pairs), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             mask = _sample_mask(len(idx), cfg.dropout_rate, rng)
-            grads, loss = _backward_batch(params, x[idx], y[idx], mask)
+            grads, loss = _backward_batch(params, x[idx], y[idx], mask, ws)
             if loss_history is not None:
                 loss_history.append(loss)
             t += 1

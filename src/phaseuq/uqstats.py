@@ -141,11 +141,10 @@ def _check_sigma(sigma: np.ndarray) -> None:
 
 
 def _flat_stacks(ens: PredictiveEnsemble):
-    """Member x pixel stacks of mu and sigma, sigma checked, and the mixture mean."""
-    mus = np.stack([m.mu.data.ravel() for m in ens.members])
-    sigmas = np.stack([m.sigma.ravel() for m in ens.members])
+    """The ensemble's cached mu and sigma stacks, sigma checked, and the mixture mean."""
+    mus, sigmas, mu_hat = ens.stacks
     _check_sigma(sigmas)
-    return mus, sigmas, mus.mean(axis=0)
+    return mus, sigmas, mu_hat
 
 
 def _blocks(mus, sigmas, mu_hat):

@@ -32,7 +32,13 @@ from phaseuq.learner import (
     train,
     train_ensemble,
 )
-from phaseuq.learner import _backward_batch, _forward_cols, _loss_and_grad_out, _sample_mask
+from phaseuq.learner import (
+    _backward_batch,
+    _forward_cols,
+    _loss_and_grad_out,
+    _sample_mask,
+    _Workspace,
+)
 
 
 def flatten(params):
@@ -264,6 +270,46 @@ def test_kernels_match_scipy_reference():
     for got, want in [(out.transpose(1, 0, 2, 3), want_out), *zip(grads, want_grads)]:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_reused_workspace_leaks_nothing_between_batches():
+    # full batch, a shorter batch in a prefix of the same buffers, full again
+    rng = np.random.default_rng(31)
+    params = unflatten(0.3 * rng.normal(size=flatten(init_params(0)).size)).as_list()
+    ws = _Workspace(4, 10, 14)
+    for n in (4, 3, 4):
+        x = rng.normal(size=(n, 5, 10, 14))
+        y = rng.normal(size=(n, 10, 14))
+        mask = (rng.random((n, 32)) >= 0.3) / 0.7
+        got, got_loss = _backward_batch(params, x, y, mask, ws)
+        want, want_loss = _backward_batch(params, x, y, mask)
+        assert got_loss == want_loss
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_workspace_rejects_batch_it_cannot_hold():
+    ws = _Workspace(2, 8, 8)
+    ones = np.ones((3, 32))
+    with pytest.raises(ShapeMismatch):
+        _forward_cols(init_params(0).as_list(), np.zeros((3, 5, 8, 8)), ones, ws)
+    with pytest.raises(ShapeMismatch):
+        _forward_cols(init_params(0).as_list(), np.zeros((2, 5, 8, 9)), ones[:2], ws)
+
+
+def test_forward_and_backward_results_do_not_alias_buffers():
+    rng = np.random.default_rng(32)
+    params = init_params(12)
+    x1, x2 = rng.normal(size=(2, 5, 12, 12))
+    y1, y2 = rng.normal(size=(2, 12, 12))
+    pred = forward(params, x1)
+    grads, _ = backward(params, x1, y1, dropout_rate=0.5, dropout_seed=1)
+    kept = [a.copy() for a in (pred.mu.data, pred.log_scale.data, *grads.as_list())]
+    forward(params, x2)
+    backward(params, x2, y2, dropout_rate=0.5, dropout_seed=2)
+    after = (pred.mu.data, pred.log_scale.data, *grads.as_list())
+    for a, b in zip(kept, after):
+        assert np.array_equal(a, b)
 
 
 def test_dropout_masked_channel_gets_zero_gradient():

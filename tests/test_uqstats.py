@@ -309,6 +309,20 @@ def test_blockwise_rejects_zero_sigma():
         decompose_uncertainty(ens)
 
 
+def test_calls_share_one_member_stack():
+    ens = wide_ensemble()
+    bound = credible_bound(ens, 0.9).data
+    cmap = credibility_map(ens, 0.05).values.data
+    maps = decompose_uncertainty(ens)
+    assert all(not a.flags.writeable for a in ens.stacks)
+    # each call on a fresh ensemble gives the same bytes
+    assert decompose_uncertainty(wide_ensemble()).total_sigma.data.tobytes() == (
+        maps.total_sigma.data.tobytes()
+    )
+    assert credibility_map(wide_ensemble(), 0.05).values.data.tobytes() == cmap.tobytes()
+    assert credible_bound(wide_ensemble(), 0.9).data.tobytes() == bound.tobytes()
+
+
 # ------------------------------------------------------ reliability_diagram
 
 
