@@ -5,7 +5,10 @@ same zero-padding, ReLU between layers, and one channel-dropout site
 after the second convolution. The two output channels parameterize a
 per-pixel Laplacian: mean mu and log-scale s, sigma = exp(s).
 
-Training minimizes the normalized negative log-likelihood
+The training set is a ``Dataset`` of three arrays: inputs (K, 5, H, W),
+targets (K, H, W) and a boolean validation flag per patch. Training fits
+the patches not held out and minimizes the normalized negative
+log-likelihood
 
     L = mean( |y - mu| * exp(-s) + s + log 2 )
 
@@ -53,7 +56,6 @@ CHANNELS = (5, 16, 32, 16, 2)
 ARCH_ID = "puq-cnn-" + "x".join(str(c) for c in CHANNELS) + "-v1"
 LOG2 = math.log(2.0)
 EXP_LIMIT = math.log(np.finfo(np.float64).max)  # exp(x) overflows above this
-SPLITS = ("train", "validation", "test")
 # Adam moment decay rates and denominator guard
 BETA1 = 0.9
 BETA2 = 0.999
@@ -98,44 +100,36 @@ class RegressorParams:
 
 
 @dataclass(frozen=True)
-class SamplePair:
-    """One training example plus its split tag."""
-
-    inputs: np.ndarray  # (5, H, W) measurement stack, upsampled
-    target: np.ndarray  # (H, W) normalized phase in [0, 1]
-    split: str = "train"
-
-
-@dataclass(frozen=True)
 class Dataset:
-    pairs: tuple[SamplePair, ...]
+    """K training patches as three arrays; train() fits the ones not held out.
+
+    inputs (K, 5, H, W) measurement stacks, targets (K, H, W) normalized
+    phase in [0, 1], validation (K,) True for held-out patches.
+    """
+
+    inputs: np.ndarray
+    targets: np.ndarray
+    validation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        shapes = set()
-        for p in self.pairs:
-            if p.split not in SPLITS:
-                raise NonFiniteInput(f"unknown split tag {p.split!r}")
-            if p.inputs.ndim != 3 or p.inputs.shape[0] != CHANNELS[0]:
-                raise ShapeMismatch(
-                    f"inputs must be ({CHANNELS[0]}, H, W), got {p.inputs.shape}"
-                )
-            if p.target.shape != p.inputs.shape[1:]:
-                raise ShapeMismatch(
-                    f"target {p.target.shape} does not match inputs {p.inputs.shape}"
-                )
-            if not (np.isfinite(p.inputs).all() and np.isfinite(p.target).all()):
-                raise NonFiniteInput("dataset contains non-finite values")
-            if p.target.min() < 0.0 or p.target.max() > 1.0:
-                raise NonFiniteInput("targets must lie in [0, 1]")
-            shapes.add(p.inputs.shape)
-        if len(shapes) > 1:
-            raise ShapeMismatch(f"pairs must share one shape, found {sorted(shapes)}")
-
-    def split(self, tag: str) -> list[SamplePair]:
-        if tag not in SPLITS:
-            raise NonFiniteInput(f"unknown split tag {tag!r}")
-        return [p for p in self.pairs if p.split == tag]
+        x = np.asarray(self.inputs, dtype=float)
+        y = np.asarray(self.targets, dtype=float)
+        held = np.asarray(self.validation, dtype=bool)
+        if x.ndim != 4 or x.shape[1] != CHANNELS[0]:
+            raise ShapeMismatch(f"inputs must be (K, {CHANNELS[0]}, H, W), got {x.shape}")
+        if not len(x):
+            raise EmptyDataset("dataset has no patches")
+        if y.shape != (x.shape[0], *x.shape[2:]) or held.shape != x.shape[:1]:
+            raise ShapeMismatch(
+                f"targets {y.shape} and validation {held.shape} do not match inputs {x.shape}"
+            )
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise NonFiniteInput("dataset contains non-finite values")
+        if y.min() < 0.0 or y.max() > 1.0:
+            raise NonFiniteInput("targets must lie in [0, 1]")
+        object.__setattr__(self, "inputs", x)
+        object.__setattr__(self, "targets", y)
+        object.__setattr__(self, "validation", held)
 
 
 @dataclass(frozen=True)
@@ -380,17 +374,17 @@ def init_params(seed: int) -> RegressorParams:
     return RegressorParams(*tensors)
 
 
-def forward(params: RegressorParams, inputs, pitch: float = 1.0) -> PredictiveMap:
+def forward(params: RegressorParams, inputs) -> PredictiveMap:
     """Deterministic prediction for one (5, H, W) stack; dropout is off."""
     arr = _check_stack(inputs)
     out, _, _ = _forward_cols(params.as_list(), arr[None], np.ones((1, CHANNELS[2])))
-    return PredictiveMap(RealRaster(out[0, 0], pitch), RealRaster(out[1, 0], pitch))
+    return PredictiveMap(RealRaster(out[0, 0]), RealRaster(out[1, 0]))
 
 
-def nll_loss(pred: PredictiveMap, target: RealRaster) -> float:
+def nll_loss(pred: PredictiveMap, target: np.ndarray) -> float:
     if pred.mu.shape != target.shape:
         raise ShapeMismatch(f"prediction {pred.mu.shape} vs target {target.shape}")
-    r = target.data - pred.mu.data
+    r = target - pred.mu.data
     s = pred.log_scale.data
     return float(np.mean(np.abs(r) * np.exp(-s) + s) + LOG2)
 
@@ -416,20 +410,20 @@ def backward(
 
 def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorParams:
     """Mini-batch optimization of the likelihood, deterministic by seed."""
-    pairs = dataset.split("train")
-    if not pairs:
-        raise EmptyDataset("dataset has no training pairs")
-    x = np.stack([p.inputs for p in pairs]).astype(float)
-    y = np.stack([p.target for p in pairs]).astype(float)
+    fit = ~dataset.validation
+    x, y = dataset.inputs[fit], dataset.targets[fit]
+    k = len(x)
+    if not k:
+        raise EmptyDataset("dataset has no training patches")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg.seed).as_list()
     m = [np.zeros_like(a) for a in params]
     v = [np.zeros_like(a) for a in params]
-    ws = _Workspace(min(cfg.batch_size, len(pairs)), *x.shape[2:])
+    ws = _Workspace(min(cfg.batch_size, k), *x.shape[2:])
     t = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
-        for start in range(0, len(pairs), cfg.batch_size):
+        order = rng.permutation(k)
+        for start in range(0, k, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             mask = _sample_mask(len(idx), cfg.dropout_rate, rng)
             grads, loss = _backward_batch(params, x[idx], y[idx], mask, ws)
@@ -458,10 +452,10 @@ def train_ensemble(dataset: Dataset, cfg: TrainConfig) -> list[RegressorParams]:
     return [train(dataset, c) for c in cfgs]
 
 
-def predict_ensemble(models, inputs, pitch: float = 1.0) -> PredictiveEnsemble:
+def predict_ensemble(models, inputs) -> PredictiveEnsemble:
     """One deterministic forward per trained member."""
     models = list(models)
     if not models:
         raise SizeMismatch("need at least one model")
-    maps = [forward(p, inputs, pitch=pitch) for p in models]
+    maps = [forward(p, inputs) for p in models]
     return PredictiveEnsemble(tuple(maps))

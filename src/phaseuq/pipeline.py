@@ -47,7 +47,6 @@ from .learner import (
     PredictiveEnsemble,
     PredictiveMap,
     RegressorParams,
-    SamplePair,
     forward,
     train_ensemble,
 )
@@ -64,13 +63,13 @@ from .preprocess import (
     MIN_BACKGROUND_PIXELS,
     PatchGrid,
     estimate_noise,
+    extract_patches,
     normalize_unit,
     stitch_alpha_blend,
 )
 from .recon import MeasurementStack, dpc_reconstruct, sfpm_reconstruct
 from .tensorfile import read_records, read_tensor, write_pgm16, write_records, write_tensor
 from .uqstats import (
-    CredibilityMap,
     averaged_credibility,
     credibility_map,
     credible_bound,
@@ -244,7 +243,7 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
         phi = resolution_target(shape_hi, ph.amplitude_hi, pitch=hp)
     # preprocess estimates the noise on this mask; refuse it before any image is formed
     threshold = cfg.analysis.background_threshold
-    background = int(np.count_nonzero(normalize_unit(phi)[0].data <= threshold))
+    background = int(np.count_nonzero(normalize_unit(phi.data)[0] <= threshold))
     if background < MIN_BACKGROUND_PIXELS:
         raise MaskTooSmall(
             f"analysis.background_threshold {threshold} selects {background} "
@@ -338,7 +337,7 @@ def preprocess_stage(
     n = opt.n_hires
 
     phi, _ = _load(simulate_dir, "phantom_phase.puqt")
-    truth_norm, scale, offset = normalize_unit(RealRaster(phi, hp))
+    truth_norm, scale, offset = normalize_unit(phi)
 
     recon, _ = _load(recon_dir, "phase.puqt")
     if recon.shape != (n, n):
@@ -346,8 +345,8 @@ def preprocess_stage(
     # global phase offsets cancel inside the noise estimate, the scale must match
     recon_norm = (recon - offset) / scale
 
-    mask = truth_norm.data <= cfg.analysis.background_threshold
-    noise = estimate_noise(RealRaster(recon_norm, hp), mask)
+    mask = truth_norm <= cfg.analysis.background_threshold
+    sigma_background, pixel_count = estimate_noise(recon_norm, mask)
 
     mux, _ = _load(simulate_dir, "multiplexed.puqt")
     channels = []
@@ -359,21 +358,14 @@ def preprocess_stage(
         channels.append(resize_bicubic(contrast, n, n).data)
     inputs = np.stack(channels)
 
-    grid = PatchGrid(
-        cfg.train.patch, cfg.train.patch, cfg.train.stride, cfg.train.stride, n, n
-    )
-    positions = grid.positions()
-    targets = np.stack(
-        [truth_norm.data[r : r + grid.patch_h, c : c + grid.patch_w] for r, c in positions]
-    )
-    patch_inputs = np.stack(
-        [inputs[:, r : r + grid.patch_h, c : c + grid.patch_w] for r, c in positions]
-    )
+    positions = PatchGrid(cfg.train.patch, cfg.train.stride, n).positions()
+    targets = extract_patches(truth_norm, positions, cfg.train.patch)
+    patch_inputs = extract_patches(inputs, positions, cfg.train.patch)
     split = np.array([1.0 if k % 4 == 3 else 0.0 for k in range(len(positions))])
 
     sources = {"simulate": simulate_dir, "recon": recon_dir}
     with _run(out_root, "preprocess", cfg, sources, export_pgm=export_pgm) as run:
-        run.save("truth_normalized.puqt", truth_norm.data, [("pitch", hp)], preview=True)
+        run.save("truth_normalized.puqt", truth_norm, [("pitch", hp)], preview=True)
         run.save("recon_normalized.puqt", recon_norm, [("pitch", hp)], preview=True)
         run.save("inputs_normalized.puqt", inputs, [("pitch", hp)])
         run.save(
@@ -393,7 +385,7 @@ def preprocess_stage(
         run.lines("norm.txt", [("scale", scale), ("offset", offset)])
         run.lines(
             "noise.txt",
-            [("sigma_background", noise.sigma_background), ("pixel_count", noise.pixel_count)],
+            [("sigma_background", sigma_background), ("pixel_count", pixel_count)],
         )
     return run.path
 
@@ -413,11 +405,7 @@ def train_stage(
     split, _ = _load(preprocess_dir, "patches_split.puqt")
     if not (xs.shape[0] == ys.shape[0] == split.shape[0]):
         raise ShapeMismatch("patch tensors disagree on the sample count")
-    pairs = [
-        SamplePair(xs[k], ys[k], split="validation" if split[k] > 0.5 else "train")
-        for k in range(xs.shape[0])
-    ]
-    models = train_ensemble(Dataset(pairs), t)
+    models = train_ensemble(Dataset(xs, ys, split > 0.5), t)
 
     inputs, seeds = {"preprocess": preprocess_dir}, {"train": t.seed}
     with _run(out_root, "train", cfg, inputs, seeds, export_pgm) as run:
@@ -478,8 +466,11 @@ def analyze_stage(
     mu, _ = _load(predict_dir, "mu.puqt")
     sigma, _ = _load(predict_dir, "sigma.puqt")
     ys, _ = _load(preprocess_dir, "patches_targets.puqt")
-    if mu.shape != sigma.shape or mu.shape[1:] != ys.shape:
-        raise ShapeMismatch(f"predictions {mu.shape} do not match targets {ys.shape}")
+    if mu.ndim != 4 or mu.shape != sigma.shape or mu.shape[1:] != ys.shape:
+        raise ShapeMismatch(
+            f"predictions {mu.shape} and {sigma.shape} must be (member, patch, row, col) "
+            f"over targets {ys.shape}"
+        )
     n_members, n_patches, h, w = mu.shape
     if not (sigma > 0.0).all():
         raise NonPositiveSigma(f"{Path(predict_dir) / 'sigma.puqt'}: sigma must be > 0")
@@ -494,7 +485,7 @@ def analyze_stage(
         for p in range(n_members)
     )
     ens = PredictiveEnsemble(members)
-    truth = RealRaster(ys.reshape(n_patches * h, w), 1.0)
+    truth = ys.reshape(n_patches * h, w)
 
     if a.policy == "background-noise":
         path = Path(preprocess_dir) / "noise.txt"
@@ -506,19 +497,15 @@ def analyze_stage(
     maps = decompose_uncertainty(ens)
     cmap = credibility_map(ens, epsilon)
     bound = credible_bound(ens, a.target_p)
-    diagram = reliability_diagram(cmap, maps.mean, truth, a.delta_p)
-    abs_error = np.abs(maps.mean.data - truth.data)
+    diagram = reliability_diagram(cmap, epsilon, maps.mean, truth, a.delta_p)
+    abs_error = np.abs(maps.mean - truth)
 
     inputs = {"preprocess": preprocess_dir, "predict": predict_dir}
     with _run(out_root, "analyze", cfg, inputs, export_pgm=export_pgm) as run:
         layout = [("layout", "patch row col")]
-        folded = {
-            "mean": maps.mean.data,
-            "data_sigma": maps.data_sigma.data,
-            "model_sigma": maps.model_sigma.data,
-            "total_sigma": maps.total_sigma.data,
-            "credibility": cmap.values.data,
-            "credible_bound": bound.data,
+        folded = maps._asdict() | {
+            "credibility": cmap,
+            "credible_bound": bound,
             "abs_error": abs_error,
         }
         for name in ANALYSIS_MAPS:
@@ -530,7 +517,7 @@ def analyze_stage(
             ("target_p", a.target_p),
             ("delta_p", a.delta_p),
             ("avg_credibility", averaged_credibility(cmap, np.ones(truth.shape, dtype=bool))),
-            ("populated_bins", len(diagram.populated)),
+            ("populated_bins", int(diagram.populated.sum())),
             ("max_gap", diagram.max_gap()),
         ]
         if a.policy == "background-noise":
@@ -547,6 +534,11 @@ def stitch_stage(
     hp = _hires_pitch(cfg)
     n = opt.n_hires
     pos, _ = _load(preprocess_dir, "patches_positions.puqt")
+    if pos.ndim != 2 or pos.shape[1] != 2 or (pos < 0).any() or (pos != np.floor(pos)).any():
+        raise FormatError(
+            f"{Path(preprocess_dir) / 'patches_positions.puqt'}: positions must be "
+            f"(K, 2) non-negative integers, got shape {pos.shape}"
+        )
     positions = [(int(r), int(c)) for r, c in pos]
     bg, _ = _load(preprocess_dir, "background_mask.puqt")
     background = bg > 0.5
@@ -559,13 +551,13 @@ def stitch_stage(
     path = Path(analyze_dir) / "analysis.txt"
     epsilon = _required(_read_lines(path), "epsilon", path, float)
     # blending is convex so values stay in [0, 1] up to rounding
-    cmap = CredibilityMap(RealRaster(np.clip(stitched["credibility"], 0.0, 1.0), hp), epsilon)
+    cmap = np.clip(stitched["credibility"], 0.0, 1.0)
 
     def region_mean(mask: np.ndarray) -> float:
         return averaged_credibility(cmap, mask) if mask.any() else float("nan")
 
     frac_high = (
-        float(np.mean(cmap.values.data[background] > DEMO_GATE_CREDIBILITY))
+        float(np.mean(cmap[background] > DEMO_GATE_CREDIBILITY))
         if background.any()
         else float("nan")
     )

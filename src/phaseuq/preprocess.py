@@ -1,8 +1,10 @@
-"""Phase-map conditioning.
+"""Phase-map conditioning on plain arrays.
 
 Unwrapping, dynamic-range clipping, [0, 1] normalization, background
-noise estimation, patch extraction, and alpha-blend stitching. Everything
-here is pure and deterministic.
+noise estimation, patch extraction, and alpha-blend stitching. No pixel
+pitch enters any of them, so they take and return ndarrays; rasters stay
+where pitch feeds frequency arithmetic. Everything here is pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .errors import (
     ShapeMismatch,
     SizeMismatch,
 )
-from .grid import RealRaster
 
 TWO_PI = 2.0 * math.pi
 # fewest background pixels a noise estimate is taken from
@@ -32,7 +33,7 @@ def wrap_phase(values: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(values, dtype=float) + math.pi, TWO_PI) - math.pi
 
 
-def unwrap_phase(wrapped: RealRaster) -> RealRaster:
+def unwrap_phase(wrapped: np.ndarray) -> np.ndarray:
     """Least-squares unwrapping with a congruence correction.
 
     Wrapped forward differences give a discrete Laplacian; the Poisson
@@ -44,7 +45,7 @@ def unwrap_phase(wrapped: RealRaster) -> RealRaster:
     """
     from scipy import fft  # loaded on first use: no pipeline stage unwraps
 
-    p = wrapped.data
+    p = np.asarray(wrapped, dtype=float)
     m, n = p.shape
     dy = wrap_phase(np.diff(p, axis=0))
     dx = wrap_phase(np.diff(p, axis=1))
@@ -65,10 +66,10 @@ def unwrap_phase(wrapped: RealRaster) -> RealRaster:
     diff = smooth - p
     offset = np.angle(np.mean(np.exp(1j * diff)))
     k = np.round((diff - offset) / TWO_PI)
-    return RealRaster(p + TWO_PI * k, wrapped.pitch)
+    return p + TWO_PI * k
 
 
-def clip_dynamic_range(x: RealRaster, fraction: float = 0.001) -> RealRaster:
+def clip_dynamic_range(x: np.ndarray, fraction: float = 0.001) -> np.ndarray:
     """Clamp the extreme tails, fraction/2 per side.
 
     Quantiles use the 'lower'/'higher' order statistics rather than
@@ -77,95 +78,64 @@ def clip_dynamic_range(x: RealRaster, fraction: float = 0.001) -> RealRaster:
     if not (0.0 <= fraction < 0.5):
         raise NonFiniteInput(f"clip fraction must be in [0, 0.5), got {fraction}")
     if fraction == 0.0:
-        return RealRaster(x.data.copy(), x.pitch)
-    lo = np.quantile(x.data, fraction / 2.0, method="lower")
-    hi = np.quantile(x.data, 1.0 - fraction / 2.0, method="higher")
-    return RealRaster(np.clip(x.data, lo, hi), x.pitch)
+        return np.array(x, dtype=float)
+    lo = np.quantile(x, fraction / 2.0, method="lower")
+    hi = np.quantile(x, 1.0 - fraction / 2.0, method="higher")
+    return np.clip(x, lo, hi)
 
 
-def normalize_unit(x: RealRaster) -> tuple[RealRaster, float, float]:
-    """Affine map onto [0, 1]; returns (raster, scale, offset).
+def normalize_unit(x: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Affine map onto [0, 1]; returns (array, scale, offset).
 
-    The inverse is data * scale + offset, back in the input units.
+    The inverse is values * scale + offset, back in the input units.
     """
-    lo = float(x.data.min())
-    hi = float(x.data.max())
+    lo = float(x.min())
+    hi = float(x.max())
     if hi <= lo:
-        raise DegenerateRange(f"constant raster (value {lo}) cannot be normalized")
-    return RealRaster((x.data - lo) / (hi - lo), x.pitch), hi - lo, lo
+        raise DegenerateRange(f"constant field (value {lo}) cannot be normalized")
+    return (x - lo) / (hi - lo), hi - lo, lo
 
 
-@dataclass(frozen=True)
-class NoiseEstimate:
-    """Background phase noise level."""
-
-    sigma_background: float
-    pixel_count: int
-
-    def __post_init__(self):
-        if not (self.sigma_background >= 0.0):
-            raise NonFiniteInput(f"sigma must be >= 0, got {self.sigma_background}")
-        if self.pixel_count < MIN_BACKGROUND_PIXELS:
-            raise MaskTooSmall(
-                f"need >= {MIN_BACKGROUND_PIXELS} background pixels, got {self.pixel_count}"
-            )
-
-
-def estimate_noise(phase: RealRaster, background_mask: np.ndarray) -> NoiseEstimate:
-    """Unbiased sample std over the masked (background) pixels."""
+def estimate_noise(phase: np.ndarray, background_mask: np.ndarray) -> tuple[float, int]:
+    """Unbiased sample std over the masked (background) pixels, and their count."""
     mask = np.asarray(background_mask, dtype=bool)
     if mask.shape != phase.shape:
-        raise SizeMismatch(f"mask {mask.shape} does not match raster {phase.shape}")
+        raise SizeMismatch(f"mask {mask.shape} does not match field {phase.shape}")
     count = int(mask.sum())
     if count < MIN_BACKGROUND_PIXELS:
         raise MaskTooSmall(f"need >= {MIN_BACKGROUND_PIXELS} background pixels, got {count}")
-    sigma = float(np.std(phase.data[mask], ddof=1))
-    return NoiseEstimate(sigma, count)
+    return float(np.std(phase[mask], ddof=1)), count
 
 
 @dataclass(frozen=True)
 class PatchGrid:
-    """Row-major tiling; the last row/column is clamped to the border."""
+    """Row-major tiling of a square field; the last row/column is clamped to the border."""
 
-    patch_h: int
-    patch_w: int
-    stride_h: int
-    stride_w: int
-    source_h: int
-    source_w: int
+    patch: int
+    stride: int
+    side: int
 
     def __post_init__(self):
-        if self.stride_h < 1 or self.stride_w < 1:
-            raise NonFiniteInput("strides must be >= 1")
-        if self.patch_h < 1 or self.patch_w < 1:
-            raise NonFiniteInput("patch sizes must be >= 1")
-        if self.patch_h > self.source_h or self.patch_w > self.source_w:
-            raise SizeMismatch(
-                f"{self.patch_h}x{self.patch_w} patch exceeds source "
-                f"{self.source_h}x{self.source_w}"
-            )
-
-    @staticmethod
-    def _starts(patch: int, source: int, stride: int) -> list[int]:
-        count = -(-(source - patch) // stride) + 1
-        return [min(k * stride, source - patch) for k in range(count)]
+        if self.stride < 1:
+            raise NonFiniteInput("stride must be >= 1")
+        if self.patch < 1:
+            raise NonFiniteInput("patch size must be >= 1")
+        if self.patch > self.side:
+            raise SizeMismatch(f"{self.patch}px patch exceeds the {self.side}px field")
 
     def positions(self) -> list[tuple[int, int]]:
-        rows = self._starts(self.patch_h, self.source_h, self.stride_h)
-        cols = self._starts(self.patch_w, self.source_w, self.stride_w)
-        return [(r, c) for r in rows for c in cols]
+        count = -(-(self.side - self.patch) // self.stride) + 1
+        starts = [min(k * self.stride, self.side - self.patch) for k in range(count)]
+        return [(r, c) for r in starts for c in starts]
 
 
-def extract_patches(x: RealRaster, grid: PatchGrid) -> list[RealRaster]:
-    if (grid.source_h, grid.source_w) != x.shape:
-        raise SizeMismatch(
-            f"grid expects source {grid.source_h}x{grid.source_w}, raster is "
-            f"{x.shape[0]}x{x.shape[1]}"
-        )
-    return [
-        RealRaster(x.data[r : r + grid.patch_h, c : c + grid.patch_w].copy(), x.pitch)
-        for r, c in grid.positions()
-    ]
+def extract_patches(field: np.ndarray, positions, patch: int) -> np.ndarray:
+    """(K, ..., patch, patch) stack of the patch x patch windows of a (..., H, W) field."""
+    h, w = field.shape[-2:]
+    for r, c in positions:
+        if r < 0 or c < 0 or r + patch > h or c + patch > w:
+            raise SizeMismatch(f"{patch}px patch at ({r}, {c}) leaves the {h}x{w} field")
+    return np.stack([field[..., r : r + patch, c : c + patch] for r, c in positions])
 
 
 def _ramp_profile(n: int) -> np.ndarray:

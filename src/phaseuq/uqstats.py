@@ -4,7 +4,10 @@ An ensemble of P per-pixel Laplace distributions (mu_p, sigma_p) is
 treated as an equal-weight mixture. This module computes the mixture
 mean, the variance decomposition into data and model parts, credibility
 maps p_i(eps) = P(|y - mu_hat| <= eps), credible-interval bounds by
-bisection, reliability diagrams, and mask-averaged credibility.
+bisection, reliability diagrams, and mask-averaged credibility. The
+ensemble's members hold rasters; every result here is a plain ndarray of
+the members' shape (the decomposition a NamedTuple of four, the diagram
+per-bin arrays), since no pixel pitch enters any of them.
 
 Credibility maps and bounds evaluate each member's interval mass in closed
 form from a = |mu_hat - mu_p| / sigma_p, one cache-sized block of pixels at a
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,15 +29,12 @@ from .errors import (
     NonPositiveSigma,
     ShapeMismatch,
 )
-from .grid import RealRaster
 from .learner import PredictiveEnsemble, PredictiveMap
 
 __all__ = [
     "PredictiveEnsemble",
     "PredictiveMap",
     "UncertaintyMaps",
-    "CredibilityMap",
-    "ReliabilityBin",
     "ReliabilityDiagram",
     "laplace_cdf",
     "decompose_uncertainty",
@@ -47,85 +48,38 @@ __all__ = [
 # ---------------------------------------------------------------- types
 
 
-@dataclass(frozen=True)
-class UncertaintyMaps:
+class UncertaintyMaps(NamedTuple):
     """Per-pixel mean and the data/model/total sigma decomposition."""
 
-    mean: RealRaster
-    data_sigma: RealRaster
-    model_sigma: RealRaster
-    total_sigma: RealRaster
-
-    def __post_init__(self):
-        shapes = {
-            self.mean.shape,
-            self.data_sigma.shape,
-            self.model_sigma.shape,
-            self.total_sigma.shape,
-        }
-        if len(shapes) != 1:
-            raise ShapeMismatch("uncertainty maps must share one shape")
-        for name in ("data_sigma", "model_sigma", "total_sigma"):
-            if np.any(getattr(self, name).data < 0.0):
-                raise NonPositiveSigma(f"{name} must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CredibilityMap:
-    """Probability that the true mean lies within +-epsilon of mu_hat."""
-
-    values: RealRaster
-    epsilon: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise NonFiniteInput(f"epsilon must be finite >= 0, got {self.epsilon}")
-        v = self.values.data
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise NonFiniteInput("credibility values must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ReliabilityBin:
-    lo: float
-    hi: float  # bin is (lo, hi], pixels at p = 0 join the first bin
-    credibility: float  # nan when empty
-    accuracy: float  # nan when empty
-    count: int
-    flagged: bool  # count below min_count; excluded from summaries
-
-    def __post_init__(self):
-        if self.count > 0:
-            if not (0.0 <= self.credibility <= 1.0 and 0.0 <= self.accuracy <= 1.0):
-                raise NonFiniteInput("bin credibility and accuracy must be in [0, 1]")
+    mean: np.ndarray
+    data_sigma: np.ndarray
+    model_sigma: np.ndarray
+    total_sigma: np.ndarray
 
 
 @dataclass(frozen=True)
 class ReliabilityDiagram:
-    bins: tuple[ReliabilityBin, ...]
+    """Per-bin arrays; bin m is (lo[m], hi[m]], and pixels at p = 0 join the first."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    credibility: np.ndarray  # nan in empty bins
+    accuracy: np.ndarray  # nan in empty bins
+    count: np.ndarray
+    populated: np.ndarray  # count >= min_count; only these enter summaries
     epsilon: float
     delta_p: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "bins", tuple(self.bins))
-
-    @property
-    def populated(self) -> tuple[ReliabilityBin, ...]:
-        return tuple(b for b in self.bins if not b.flagged)
-
     def max_gap(self) -> float:
-        """Largest |accuracy - credibility| over the unflagged bins."""
-        gaps = [abs(b.accuracy - b.credibility) for b in self.populated]
-        return max(gaps) if gaps else 0.0
+        """Largest |accuracy - credibility| over the populated bins."""
+        gaps = np.abs(self.accuracy - self.credibility)[self.populated]
+        return float(gaps.max()) if gaps.size else 0.0
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("bin_lo,bin_hi,avg_credibility,accuracy,count\n")
-            for b in self.bins:
-                fh.write(
-                    f"{b.lo:.17g},{b.hi:.17g},{b.credibility:.17g},"
-                    f"{b.accuracy:.17g},{b.count}\n"
-                )
+            for row in zip(self.lo, self.hi, self.credibility, self.accuracy, self.count):
+                fh.write("{:.17g},{:.17g},{:.17g},{:.17g},{}\n".format(*row))
 
 
 # ------------------------------------------------------------ internals
@@ -202,15 +156,14 @@ def decompose_uncertainty(ens: PredictiveEnsemble) -> UncertaintyMaps:
     """
     mus, sigmas, mu_hat = _flat_stacks(ens)
     shape = ens.members[0].mu.shape
-    pitch = ens.members[0].mu.pitch
     data_var = (2.0 * sigmas**2).mean(axis=0)
     model_var = ((mus - mu_hat) ** 2).mean(axis=0)
     flat = (mu_hat, np.sqrt(data_var), np.sqrt(model_var), np.sqrt(data_var + model_var))
-    return UncertaintyMaps(*(RealRaster(a.reshape(shape), pitch) for a in flat))
+    return UncertaintyMaps(*(a.reshape(shape) for a in flat))
 
 
-def credibility_map(ens: PredictiveEnsemble, epsilon: float) -> CredibilityMap:
-    """Mixture probability of the interval [mu_hat - eps, mu_hat + eps].
+def credibility_map(ens: PredictiveEnsemble, epsilon: float) -> np.ndarray:
+    """Mixture probability of the interval [mu_hat - eps, mu_hat + eps], per pixel.
 
     Evaluated in closed form per member, one block of pixels at a time.
     """
@@ -221,15 +174,10 @@ def credibility_map(ens: PredictiveEnsemble, epsilon: float) -> CredibilityMap:
     values = np.empty_like(mu_hat)
     for block, a, inv_sigma in _blocks(mus, sigmas, mu_hat):
         values[block] = _interval_mass(a, inv_sigma, epsilon)
-    shape = ens.members[0].mu.shape
-    return CredibilityMap(
-        values=RealRaster(values.reshape(shape), ens.members[0].mu.pitch), epsilon=epsilon
-    )
+    return values.reshape(ens.members[0].mu.shape)
 
 
-def credible_bound(
-    ens: PredictiveEnsemble, target_p: float, tol: float = 1e-6
-) -> RealRaster:
+def credible_bound(ens: PredictiveEnsemble, target_p: float, tol: float = 1e-6) -> np.ndarray:
     """Per-pixel interval half-width reaching the target credibility.
 
     Bisection on the monotone map eps -> credibility, run to absolute
@@ -245,9 +193,8 @@ def credible_bound(
         raise NonFiniteInput(f"tol must be finite > 0, got {tol}")
     mus, sigmas, mu_hat = _flat_stacks(ens)
     shape = ens.members[0].mu.shape
-    pitch = ens.members[0].mu.pitch
     if target_p == 0.0:
-        return RealRaster(np.zeros(shape), pitch)
+        return np.zeros(shape)
     upper = 50.0 * sigmas.max(axis=0) + np.abs(mus - mu_hat).max(axis=0)
     steps = int(math.ceil(math.log2(max(float(upper.max()), tol) / tol))) + 1
     bound = np.empty_like(mu_hat)
@@ -262,36 +209,36 @@ def credible_bound(
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         bound[block] = hi
-    return RealRaster(bound.reshape(shape), pitch)
+    return bound.reshape(shape)
 
 
 def reliability_diagram(
-    cmap: CredibilityMap,
-    mean: RealRaster,
-    truth: RealRaster,
+    credibility: np.ndarray,
+    epsilon: float,
+    mean: np.ndarray,
+    truth: np.ndarray,
     delta_p: float = 0.04,
     min_count: int = 100,
 ) -> ReliabilityDiagram:
     """Bin pixels by credibility and compare against empirical accuracy.
 
-    cmap is the ensemble's credibility map at epsilon = cmap.epsilon and
-    mean its mixture mean. Pixels land in bins ((m-1) dp, m dp] by their
+    credibility is the ensemble's credibility map at epsilon and mean its
+    mixture mean. Pixels land in bins ((m-1) dp, m dp] by their
     credibility, with p = 0 assigned to the first bin. Per bin: the mean
     credibility, the fraction of pixels whose true value lies within
     +-epsilon of the mean, and the pixel count. Bins with fewer than
-    min_count pixels are flagged and left out of summary statistics.
+    min_count pixels are not populated and stay out of summary statistics.
     """
     n_bins = round(1.0 / delta_p)
     if not math.isclose(n_bins * delta_p, 1.0, rel_tol=0.0, abs_tol=1e-12):
         raise NonFiniteInput(f"1/delta_p must be an integer, got {delta_p}")
-    if not (truth.shape == mean.shape == cmap.values.shape):
+    if not (np.shape(truth) == np.shape(mean) == np.shape(credibility)):
         raise ShapeMismatch(
-            f"truth {truth.shape}, mean {mean.shape} and credibility "
-            f"{cmap.values.shape} must share one shape"
+            f"truth {np.shape(truth)}, mean {np.shape(mean)} and credibility "
+            f"{np.shape(credibility)} must share one shape"
         )
-    epsilon = cmap.epsilon
-    p = cmap.values.data.ravel()
-    hit = np.abs(mean.data.ravel() - truth.data.ravel()) <= epsilon
+    p = np.ravel(credibility)
+    hit = np.abs(np.ravel(mean) - np.ravel(truth)) <= epsilon
 
     idx = np.ceil(p / delta_p).astype(int)  # (lo, hi] binning
     idx[idx < 1] = 1  # p = 0 joins the first bin
@@ -300,32 +247,29 @@ def reliability_diagram(
     counts = np.bincount(idx, minlength=n_bins)
     p_sum = np.bincount(idx, weights=p, minlength=n_bins)
     hit_sum = np.bincount(idx, weights=hit.astype(float), minlength=n_bins)
+    filled = counts > 0
 
-    bins = []
-    for m in range(n_bins):
-        c = int(counts[m])
-        cred = p_sum[m] / c if c else math.nan
-        acc = hit_sum[m] / c if c else math.nan
-        bins.append(
-            ReliabilityBin(
-                lo=m * delta_p,
-                hi=(m + 1) * delta_p,
-                credibility=cred,
-                accuracy=acc,
-                count=c,
-                flagged=c < min_count,
-            )
-        )
-    return ReliabilityDiagram(bins=tuple(bins), epsilon=float(epsilon), delta_p=float(delta_p))
+    def per_bin(total):
+        return np.divide(total, counts, out=np.full(n_bins, math.nan), where=filled)
+
+    m = np.arange(n_bins)
+    return ReliabilityDiagram(
+        lo=m * delta_p,
+        hi=(m + 1) * delta_p,
+        credibility=per_bin(p_sum),
+        accuracy=per_bin(hit_sum),
+        count=counts,
+        populated=counts >= min_count,
+        epsilon=float(epsilon),
+        delta_p=float(delta_p),
+    )
 
 
-def averaged_credibility(cmap: CredibilityMap, mask: np.ndarray) -> float:
+def averaged_credibility(credibility: np.ndarray, mask: np.ndarray) -> float:
     """Mean credibility over the masked pixels."""
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != cmap.values.shape:
-        raise ShapeMismatch(
-            f"mask shape {mask.shape} does not match map {cmap.values.shape}"
-        )
+    if mask.shape != credibility.shape:
+        raise ShapeMismatch(f"mask shape {mask.shape} does not match map {credibility.shape}")
     if not mask.any():
         raise EmptyMask("mask selects no pixels")
-    return float(cmap.values.data[mask].mean())
+    return float(credibility[mask].mean())

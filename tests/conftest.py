@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from phaseuq.learner import SamplePair
+from phaseuq.learner import Dataset
 
 
 def bump_field(n, seed, bumps=6, sigma_range=(10.0, 24.0), margin=0.25, amplitude=1.0):
@@ -53,34 +53,36 @@ def hetero_sigma(target):
     return 0.015 * np.exp(4.0 * np.asarray(target, dtype=float))
 
 
-def hetero_pair(seed, amplitude, split, n=16):
-    """One (inputs, target) sample with value-dependent Laplacian noise.
+def hetero_pair(seed, amplitude, n=16):
+    """One (5, n, n) input stack and its target, with value-dependent Laplacian noise.
 
-    Returns the sample, the per-pixel noise scale, and the clean target
-    field (before label noise).
+    Returns the inputs, the noisy target, the per-pixel noise scale, and
+    the clean target field (before label noise).
     """
     t = BACKGROUND_LEVEL + smooth_field(n, seed) * (amplitude - BACKGROUND_LEVEL)
     sig_true = hetero_sigma(t)
     rng = np.random.default_rng(seed + 777)
     x = np.minimum(t + rng.laplace(0.0, 0.02, (5, n, n)), INPUT_RAIL)
     y = np.clip(t + rng.laplace(0.0, sig_true), 0.0, 1.0)
-    return SamplePair(x, y, split=split), sig_true, t
+    return x, y, sig_true, t
 
 
 def hetero_dataset(n_train=64, seed=0):
-    """Training pairs with max amplitude capped at TRAIN_AMPLITUDE_CAP."""
+    """Training patches with max amplitude capped at TRAIN_AMPLITUDE_CAP."""
     rng = np.random.default_rng(seed)
-    return tuple(
-        hetero_pair(i, rng.uniform(0.2, TRAIN_AMPLITUDE_CAP), "train")[0]
-        for i in range(n_train)
-    )
+    pairs = [
+        hetero_pair(i, rng.uniform(0.2, TRAIN_AMPLITUDE_CAP))[:2] for i in range(n_train)
+    ]
+    xs, ys = (np.stack(a) for a in zip(*pairs))
+    return Dataset(xs, ys, np.zeros(n_train, dtype=bool))
 
 
 def hetero_holdout(n_val=32, amplitude=None, base_seed=1000):
-    """Held-out samples; amplitude defaults to the training range."""
+    """Held-out (inputs, noise scale, clean target); amplitude defaults to the training range."""
     rng = np.random.default_rng(base_seed)
     out = []
     for i in range(n_val):
         amp = rng.uniform(0.2, TRAIN_AMPLITUDE_CAP) if amplitude is None else amplitude
-        out.append(hetero_pair(base_seed + i, amp, "validation"))
+        x, _, sig_true, t = hetero_pair(base_seed + i, amp)
+        out.append((x, sig_true, t))
     return out

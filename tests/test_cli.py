@@ -559,6 +559,36 @@ def test_cli_zero_sigma_is_one_error_line(chain, tmp_path, capsys):
     assert rc == 1 and "sigma.puqt" in err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [lambda pos: pos[:, 0], lambda pos: np.hstack([pos, pos[:, :1]]), lambda pos: pos + 0.5],
+    ids=["rank-1", "three-columns", "half-pixel"],
+)
+def test_cli_malformed_positions_are_one_error_line(chain, tmp_path, capsys, change):
+    pre = tmp_path / "pre"
+    shutil.copytree(chain["preprocess"], pre)
+    pos, meta = read_tensor(pre / "patches_positions.puqt")
+    write_tensor(pre / "patches_positions.puqt", change(pos), meta)
+    rc = _run_stage(tmp_path, "stitch", preprocess_dir=pre, analyze_dir=chain["analyze"])
+    err = _one_error_line(capsys, "FormatError")
+    assert rc == 1 and "patches_positions.puqt" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_rank3_predictions_are_one_error_line(chain, tmp_path, capsys):
+    pre, prd = tmp_path / "pre", tmp_path / "prd"
+    shutil.copytree(chain["preprocess"], pre)
+    shutil.copytree(chain["predict"], prd)
+    ys, meta = read_tensor(pre / "patches_targets.puqt")
+    write_tensor(pre / "patches_targets.puqt", ys.reshape(-1, ys.shape[-1]), meta)
+    for name in ("mu.puqt", "sigma.puqt"):
+        arr, meta = read_tensor(prd / name)
+        write_tensor(prd / name, arr.reshape(arr.shape[0], -1, arr.shape[-1]), meta)
+    rc = _run_stage(tmp_path, "analyze", preprocess_dir=pre, predict_dir=prd)
+    err = _one_error_line(capsys, "ShapeMismatch")
+    assert rc == 1 and "(member, patch, row, col)" in err
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "r")])
     err = capsys.readouterr().err.strip()

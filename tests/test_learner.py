@@ -23,7 +23,6 @@ from phaseuq.learner import (
     Dataset,
     PredictiveMap,
     RegressorParams,
-    SamplePair,
     backward,
     forward,
     init_params,
@@ -53,19 +52,22 @@ def unflatten(flat):
     return RegressorParams(*arrays)
 
 
-def toy_pairs(count, base_seed, split):
-    pairs = []
-    for i in range(count):
-        target = bump_field(16, base_seed + i, bumps=3, sigma_range=(3.0, 6.0))
-        x = np.zeros((5, 16, 16))
-        x[0] = target
-        pairs.append(SamplePair(x, target, split=split))
-    return pairs
+def toy_dataset(*parts):
+    """Patches from (count, base_seed, validation) parts in order; channel 0 is the target."""
+    targets, held = [], []
+    for count, base_seed, validation in parts:
+        for i in range(count):
+            targets.append(bump_field(16, base_seed + i, bumps=3, sigma_range=(3.0, 6.0)))
+        held += [validation] * count
+    y = np.stack(targets)
+    x = np.zeros((len(y), 5, 16, 16))
+    x[:, 0] = y
+    return Dataset(x, y, np.array(held))
 
 
 @pytest.fixture(scope="module")
 def toy_run():
-    ds = Dataset(tuple(toy_pairs(64, 0, "train") + toy_pairs(16, 1000, "validation")))
+    ds = toy_dataset((64, 0, False), (16, 1000, True))
     history = []
     params = train(
         ds,
@@ -137,7 +139,7 @@ def test_nll_zero_at_matching_half_sigma():
     n = 8
     mu = np.random.default_rng(0).normal(size=(n, n))
     pred = PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), math.log(0.5))))
-    assert abs(nll_loss(pred, RealRaster(mu))) < 1e-12
+    assert abs(nll_loss(pred, mu)) < 1e-12
 
 
 def test_nll_minimized_at_sigma_equal_residual():
@@ -152,18 +154,15 @@ def test_nll_minimized_at_sigma_equal_residual():
 def test_nll_doubling_sigma_adds_log2():
     n = 6
     mu = np.zeros((n, n))
-    target = RealRaster(mu)
-    lo = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.zeros((n, n)))), target)
-    hi = nll_loss(
-        PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), math.log(2.0)))), target
-    )
+    lo = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.zeros((n, n)))), mu)
+    hi = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), math.log(2.0)))), mu)
     assert abs(hi - lo - math.log(2.0)) < 1e-12
 
 
 def test_nll_shape_mismatch():
     pred = PredictiveMap(RealRaster(np.zeros((4, 4))), RealRaster(np.zeros((4, 4))))
     with pytest.raises(ShapeMismatch):
-        nll_loss(pred, RealRaster(np.zeros((5, 4))))
+        nll_loss(pred, np.zeros((5, 4)))
 
 
 # ---------------------------------------------------------------- backward
@@ -193,7 +192,7 @@ def test_gradcheck_against_central_differences():
             bumped[i] += sgn * h
             p = unflatten(bumped)
             sig = relu_signature(p, x, y)
-            loss = nll_loss(forward(p, x), RealRaster(y))
+            loss = nll_loss(forward(p, x), y)
             if store == "hi":
                 sig_hi, loss_hi = sig, loss
             else:
@@ -348,10 +347,9 @@ def test_loss_translation_covariance():
     x[0] = field
     x[1] = 0.5 * field
     y = 0.8 * field
-    base = nll_loss(forward(params, x), RealRaster(y))
+    base = nll_loss(forward(params, x), y)
     rolled = nll_loss(
-        forward(params, np.roll(x, (3, 2), axis=(1, 2))),
-        RealRaster(np.roll(y, (3, 2), axis=(0, 1))),
+        forward(params, np.roll(x, (3, 2), axis=(1, 2))), np.roll(y, (3, 2), axis=(0, 1))
     )
     assert abs(base - rolled) < 1e-12
 
@@ -367,9 +365,9 @@ def test_backward_shape_mismatch():
 def test_toy_identity_validation_mae(toy_run):
     ds, params, _ = toy_run
     errs = []
-    for pair in ds.split("validation"):
-        pred = forward(params, pair.inputs)
-        errs.append(np.abs(pred.mu.data - pair.target).mean())
+    for x, y in zip(ds.inputs[ds.validation], ds.targets[ds.validation]):
+        pred = forward(params, x)
+        errs.append(np.abs(pred.mu.data - y).mean())
     assert np.mean(errs) < 0.02
 
 
@@ -387,7 +385,7 @@ def test_toy_loss_smoothed_nonincreasing(toy_run):
 
 
 def test_train_seed_determinism():
-    ds = Dataset(tuple(toy_pairs(8, 40, "train")))
+    ds = toy_dataset((8, 40, False))
     cfg = TrainConfig(lr=1e-3, epochs=25, dropout_rate=0.1, seed=12)
     a, b = train(ds, cfg), train(ds, cfg)
     for x, y in zip(a.as_list(), b.as_list()):
@@ -395,25 +393,25 @@ def test_train_seed_determinism():
 
 
 def test_train_sigma_tracks_injected_noise():
-    ds = Dataset(hetero_dataset(n_train=24, seed=4))
+    ds = hetero_dataset(n_train=24, seed=4)
     params = train(ds, TrainConfig(lr=5e-3, epochs=100, dropout_rate=0.1, seed=2))
     sig_hat, sig_true = [], []
-    for pair, sig, _ in hetero_holdout(n_val=8, base_seed=4000):
-        sig_hat.append(forward(params, pair.inputs).sigma.ravel())
+    for inputs, sig, _ in hetero_holdout(n_val=8, base_seed=4000):
+        sig_hat.append(forward(params, inputs).sigma.ravel())
         sig_true.append(sig.ravel())
     rho = np.corrcoef(np.concatenate(sig_hat), np.concatenate(sig_true))[0, 1]
     assert rho > 0.8
 
 
 def test_train_empty_dataset():
-    ds = Dataset(tuple(toy_pairs(4, 0, "validation")))
+    ds = toy_dataset((4, 0, True))
     with pytest.raises(EmptyDataset):
         train(ds, TrainConfig())
 
 
 def test_train_diverged_loss():
     # divergence is reported before exp(-s) overflows, so no warning is emitted
-    ds = Dataset(tuple(toy_pairs(8, 60, "train")))
+    ds = toy_dataset((8, 60, False))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergedLoss):
@@ -428,7 +426,7 @@ def test_default_ensemble_size_is_eight():
 
 
 def test_train_ensemble_members_differ():
-    ds = Dataset(tuple(toy_pairs(8, 80, "train")))
+    ds = toy_dataset((8, 80, False))
     cfg = TrainConfig(lr=1e-3, epochs=5, dropout_rate=0.1, seed=0, ensemble_size=3)
     models = train_ensemble(ds, cfg)
     assert len(models) == 3
@@ -437,7 +435,7 @@ def test_train_ensemble_members_differ():
 
 def test_train_ensemble_member_independent_of_size():
     # member p is train() on seed cfg.seed + p, whatever the ensemble size
-    ds = Dataset(tuple(toy_pairs(8, 80, "train")))
+    ds = toy_dataset((8, 80, False))
     cfg = TrainConfig(lr=1e-3, epochs=5, dropout_rate=0.1, seed=4, ensemble_size=3)
     three = train_ensemble(ds, cfg)
     two = train_ensemble(ds, replace(cfg, ensemble_size=2))
@@ -465,30 +463,30 @@ def test_predict_ensemble_identical_members():
 
 
 def test_dataset_rejects_bad_split():
-    with pytest.raises(NonFiniteInput):
-        Dataset((SamplePair(np.zeros((5, 4, 4)), np.zeros((4, 4)), split="maybe"),))
+    # one validation flag per patch
+    with pytest.raises(ShapeMismatch):
+        Dataset(np.zeros((2, 5, 4, 4)), np.zeros((2, 4, 4)), np.zeros(3, dtype=bool))
 
 
 def test_dataset_rejects_target_out_of_range():
     with pytest.raises(NonFiniteInput):
-        Dataset((SamplePair(np.zeros((5, 4, 4)), np.full((4, 4), 1.5), split="train"),))
+        Dataset(np.zeros((1, 5, 4, 4)), np.full((1, 4, 4), 1.5), np.zeros(1, dtype=bool))
 
 
 def test_dataset_rejects_mixed_shapes():
-    pairs = (
-        SamplePair(np.zeros((5, 4, 4)), np.zeros((4, 4)), split="train"),
-        SamplePair(np.zeros((5, 6, 6)), np.zeros((6, 6)), split="train"),
-    )
     with pytest.raises(ShapeMismatch):
-        Dataset(pairs)
+        Dataset(np.zeros((2, 5, 4, 4)), np.zeros((2, 6, 6)), np.zeros(2, dtype=bool))
+    with pytest.raises(ShapeMismatch):
+        Dataset(np.zeros((2, 4, 4, 4)), np.zeros((2, 4, 4)), np.zeros(2, dtype=bool))
 
 
 def test_dataset_split_filter():
-    pairs = tuple(toy_pairs(3, 0, "train") + toy_pairs(2, 10, "validation"))
-    ds = Dataset(pairs)
-    assert len(ds.split("train")) == 3
-    assert len(ds.split("validation")) == 2
-    assert len(ds.split("test")) == 0
+    # train() fits only the patches not held out for validation
+    cfg = TrainConfig(lr=1e-3, epochs=3, dropout_rate=0.1, seed=7)
+    mixed = train(toy_dataset((3, 0, False), (2, 10, True)), cfg)
+    alone = train(toy_dataset((3, 0, False)), cfg)
+    for x, y in zip(mixed.as_list(), alone.as_list()):
+        assert np.array_equal(x, y)
 
 
 def test_train_config_validation():

@@ -15,7 +15,6 @@ from phaseuq.errors import (
 from phaseuq import uqstats
 from phaseuq.grid import RealRaster
 from phaseuq.uqstats import (
-    CredibilityMap,
     PredictiveEnsemble,
     PredictiveMap,
     averaged_credibility,
@@ -86,7 +85,7 @@ def test_mean_single_member_identity():
     rng = np.random.default_rng(0)
     mu = rng.normal(size=(5, 5))
     ens = mk_ensemble([mk_map(mu, np.ones((5, 5)))])
-    assert np.array_equal(decompose_uncertainty(ens).mean.data, mu)
+    assert np.array_equal(decompose_uncertainty(ens).mean, mu)
 
 
 def test_mean_two_members():
@@ -94,15 +93,15 @@ def test_mean_two_members():
         [mk_map(np.full((3, 3), 1.0), np.ones((3, 3))),
          mk_map(np.full((3, 3), 3.0), np.ones((3, 3)))]
     )
-    assert np.array_equal(decompose_uncertainty(ens).mean.data, np.full((3, 3), 2.0))
+    assert np.array_equal(decompose_uncertainty(ens).mean, np.full((3, 3), 2.0))
 
 
 def test_mean_reorder_invariant():
     ens = random_ensemble(3)
     flipped = mk_ensemble(ens.members[::-1])
     assert np.allclose(
-        decompose_uncertainty(ens).mean.data,
-        decompose_uncertainty(flipped).mean.data,
+        decompose_uncertainty(ens).mean,
+        decompose_uncertainty(flipped).mean,
         rtol=0,
         atol=1e-15,
     )
@@ -117,25 +116,25 @@ def test_decompose_identical_members():
     sigma = rng.uniform(0.5, 1.5, (6, 6))
     ens = mk_ensemble([mk_map(mu, sigma)] * 4)
     maps = decompose_uncertainty(ens)
-    assert np.all(maps.model_sigma.data == 0.0)
-    assert np.max(np.abs(maps.data_sigma.data - math.sqrt(2.0) * sigma)) < 1e-12
-    assert np.max(np.abs(maps.total_sigma.data - math.sqrt(2.0) * sigma)) < 1e-12
+    assert np.all(maps.model_sigma == 0.0)
+    assert np.max(np.abs(maps.data_sigma - math.sqrt(2.0) * sigma)) < 1e-12
+    assert np.max(np.abs(maps.total_sigma - math.sqrt(2.0) * sigma)) < 1e-12
 
 
 def test_decompose_two_point_model_sigma():
     sig = np.full((4, 4), 1e-12)
     ens = mk_ensemble([mk_map(np.zeros((4, 4)), sig), mk_map(np.full((4, 4), 2.0), sig)])
     maps = decompose_uncertainty(ens)
-    assert np.max(np.abs(maps.model_sigma.data - 1.0)) < 1e-12
+    assert np.max(np.abs(maps.model_sigma - 1.0)) < 1e-12
 
 
 def test_decompose_sum_identity_random():
     for seed in range(4):
         maps = decompose_uncertainty(random_ensemble(seed))
         gap = (
-            maps.total_sigma.data**2
-            - maps.data_sigma.data**2
-            - maps.model_sigma.data**2
+            maps.total_sigma**2
+            - maps.data_sigma**2
+            - maps.model_sigma**2
         )
         assert np.max(np.abs(gap)) < 1e-12
 
@@ -144,7 +143,7 @@ def test_decompose_mean_matches_predictive_mean():
     # the equal-weight mixture mean, mu_hat = mean over members of mu_p
     ens = random_ensemble(9)
     mu_hat = np.mean([m.mu.data for m in ens.members], axis=0)
-    assert np.array_equal(decompose_uncertainty(ens).mean.data, mu_hat)
+    assert np.array_equal(decompose_uncertainty(ens).mean, mu_hat)
 
 
 # --------------------------------------------------------- credibility_map
@@ -155,12 +154,12 @@ def test_credibility_single_member_three_sigma():
     ens = mk_ensemble([mk_map(np.zeros((4, 4)), np.full((4, 4), sigma))])
     cmap = credibility_map(ens, 3.0 * sigma)
     expected = 1.0 - math.exp(-3.0)
-    assert np.max(np.abs(cmap.values.data - expected)) < 1e-12
+    assert np.max(np.abs(cmap - expected)) < 1e-12
 
 
 def test_credibility_zero_epsilon():
     cmap = credibility_map(random_ensemble(2), 0.0)
-    assert np.all(cmap.values.data == 0.0)
+    assert np.all(cmap == 0.0)
 
 
 def test_credibility_large_epsilon_captures_all_mass():
@@ -169,15 +168,15 @@ def test_credibility_large_epsilon_captures_all_mass():
     mus = np.stack([m.mu.data for m in ens.members])
     spread = np.abs(mus - mus.mean(axis=0)).max()
     cmap = credibility_map(ens, 50.0 * sig.max() + spread)
-    assert np.all(cmap.values.data > 1.0 - 1e-9)
+    assert np.all(cmap > 1.0 - 1e-9)
 
 
 def test_credibility_monotone_in_epsilon():
     ens = random_ensemble(7)
     grid = np.linspace(0.0, 6.0, 25)
-    prev = credibility_map(ens, 0.0).values.data
+    prev = credibility_map(ens, 0.0)
     for eps in grid[1:]:
-        cur = credibility_map(ens, eps).values.data
+        cur = credibility_map(ens, eps)
         assert np.all(cur >= prev - 1e-15)
         prev = cur
 
@@ -191,7 +190,7 @@ def test_credibility_matches_monte_carlo():
     ens = mk_ensemble([mk_map(np.full((1, 1), m), np.full((1, 1), s))
                        for m, s in zip(mus, sigmas)])
     eps = 1.1
-    p = float(credibility_map(ens, eps).values.data[0, 0])
+    p = float(credibility_map(ens, eps)[0, 0])
     draws = np.concatenate(
         [rng.laplace(m, s, n_draws) for m, s in zip(mus, sigmas)]
     )
@@ -213,12 +212,12 @@ def test_bound_single_member_95():
     ens = mk_ensemble([mk_map(np.zeros((3, 3)), np.full((3, 3), sigma))])
     eps = credible_bound(ens, 0.95)
     expected = -sigma * math.log(0.05)
-    assert np.max(np.abs(eps.data - expected)) < 1e-5
+    assert np.max(np.abs(eps - expected)) < 1e-5
 
 
 def test_bound_zero_target():
     eps = credible_bound(random_ensemble(4), 0.0)
-    assert np.all(eps.data == 0.0)
+    assert np.all(eps == 0.0)
 
 
 def test_bound_roundtrip():
@@ -227,7 +226,7 @@ def test_bound_roundtrip():
         ens = random_ensemble(seed)
         for target in (0.5, 0.9, 0.99):
             eps = credible_bound(ens, target, tol=tol)
-            back = _credibility_of(ens, eps.data)
+            back = _credibility_of(ens, eps)
             assert np.all(back >= target - 10 * tol)
             assert np.all(back <= target + 10 * tol)
 
@@ -244,7 +243,7 @@ def _credibility_of(ens, eps_map):
 
 def test_bound_monotone_in_target():
     ens = random_ensemble(6)
-    bounds = [credible_bound(ens, t).data for t in (0.2, 0.5, 0.8, 0.95)]
+    bounds = [credible_bound(ens, t) for t in (0.2, 0.5, 0.8, 0.95)]
     for a, b in zip(bounds, bounds[1:]):
         assert np.all(b >= a - 1e-9)
 
@@ -279,7 +278,7 @@ def test_blockwise_outputs_independent_of_block_size(monkeypatch):
     for block in (uqstats._BLOCK_PIXELS, 1000, 7):
         monkeypatch.setattr(uqstats, "_BLOCK_PIXELS", block)
         runs.append(
-            (credibility_map(ens, 0.05).values.data, credible_bound(ens, 0.9).data)
+            (credibility_map(ens, 0.05), credible_bound(ens, 0.9))
         )
     for cmap, bound in runs[1:]:
         assert cmap.tobytes() == runs[0][0].tobytes()
@@ -290,7 +289,7 @@ def test_credibility_matches_laplace_cdf_mixture():
     ens = wide_ensemble()
     eps = 0.05
     want = _credibility_of(ens, np.full(ens.members[0].mu.shape, eps))
-    got = credibility_map(ens, eps).values.data
+    got = credibility_map(ens, eps)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -311,16 +310,16 @@ def test_blockwise_rejects_zero_sigma():
 
 def test_calls_share_one_member_stack():
     ens = wide_ensemble()
-    bound = credible_bound(ens, 0.9).data
-    cmap = credibility_map(ens, 0.05).values.data
+    bound = credible_bound(ens, 0.9)
+    cmap = credibility_map(ens, 0.05)
     maps = decompose_uncertainty(ens)
     assert all(not a.flags.writeable for a in ens.stacks)
     # each call on a fresh ensemble gives the same bytes
-    assert decompose_uncertainty(wide_ensemble()).total_sigma.data.tobytes() == (
-        maps.total_sigma.data.tobytes()
+    assert decompose_uncertainty(wide_ensemble()).total_sigma.tobytes() == (
+        maps.total_sigma.tobytes()
     )
-    assert credibility_map(wide_ensemble(), 0.05).values.data.tobytes() == cmap.tobytes()
-    assert credible_bound(wide_ensemble(), 0.9).data.tobytes() == bound.tobytes()
+    assert credibility_map(wide_ensemble(), 0.05).tobytes() == cmap.tobytes()
+    assert credible_bound(wide_ensemble(), 0.9).tobytes() == bound.tobytes()
 
 
 # ------------------------------------------------------ reliability_diagram
@@ -329,7 +328,7 @@ def test_calls_share_one_member_stack():
 def diagram_of(ens, truth, eps, **kwargs):
     """The ensemble's diagram, binned from its own credibility map and mean."""
     mean = decompose_uncertainty(ens).mean
-    return reliability_diagram(credibility_map(ens, eps), mean, truth, **kwargs)
+    return reliability_diagram(credibility_map(ens, eps), eps, mean, truth, **kwargs)
 
 
 def calibrated_setup(n_px=409600, eps=1.0, seed=21):
@@ -343,54 +342,51 @@ def calibrated_setup(n_px=409600, eps=1.0, seed=21):
     mu = rng.normal(0.0, 1.0, shape)
     truth = rng.laplace(mu, sigma)
     ens = mk_ensemble([mk_map(mu, sigma)])
-    return ens, RealRaster(truth), eps
+    return ens, truth, eps
 
 
 def test_diagram_has_25_bins():
     ens, truth, eps = calibrated_setup(n_px=4096)
     diag = diagram_of(ens, truth, eps, delta_p=0.04)
-    assert len(diag.bins) == 25
-    assert diag.bins[0].lo == 0.0
-    assert abs(diag.bins[-1].hi - 1.0) < 1e-12
+    assert len(diag.lo) == len(diag.hi) == len(diag.count) == 25
+    assert diag.lo[0] == 0.0
+    assert abs(diag.hi[-1] - 1.0) < 1e-12
 
 
 def test_diagram_degenerate_single_bin():
     sigma = 0.5
     ens = mk_ensemble([mk_map(np.zeros((40, 40)), np.full((40, 40), sigma))])
-    truth = RealRaster(np.zeros((40, 40)))
+    truth = np.zeros((40, 40))
     diag = diagram_of(ens, truth, 3.0 * sigma)
-    populated = [b for b in diag.bins if b.count > 0]
-    assert len(populated) == 1
-    assert populated[0].count == 1600
+    assert np.count_nonzero(diag.count) == 1
+    assert diag.count.max() == 1600
 
 
 def test_diagram_self_consistent_calibration():
     ens, truth, eps = calibrated_setup()
     diag = diagram_of(ens, truth, eps)
-    checked = 0
-    for b in diag.populated:
-        assert abs(b.accuracy - b.credibility) < 0.02
-        checked += b.count
-    assert checked >= 100000
+    sel = diag.populated
+    assert np.all(np.abs(diag.accuracy[sel] - diag.credibility[sel]) < 0.02)
+    assert diag.count[sel].sum() >= 100000
 
 
 def test_diagram_counts_cover_all_pixels():
     ens, truth, eps = calibrated_setup(n_px=2048)
     diag = diagram_of(ens, truth, eps)
-    assert sum(b.count for b in diag.bins) == 2048
+    assert diag.count.sum() == 2048
 
 
 def test_diagram_flags_thin_bins():
     ens, truth, eps = calibrated_setup(n_px=2048)
     diag = diagram_of(ens, truth, eps, min_count=10**6)
-    assert all(b.flagged for b in diag.bins)
-    assert diag.populated == ()
+    assert not diag.populated.any()
+    assert diag.max_gap() == 0.0
 
 
 def test_diagram_shape_mismatch():
     ens, _, eps = calibrated_setup(n_px=2048)
     with pytest.raises(ShapeMismatch):
-        diagram_of(ens, RealRaster(np.zeros((3, 3))), eps)
+        diagram_of(ens, np.zeros((3, 3)), eps)
 
 
 def test_diagram_rejects_non_integer_bins():
@@ -409,18 +405,18 @@ def test_diagram_csv_roundtrip(tmp_path):
     assert len(lines) == 26
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    for row, b in zip(rows, diag.bins):
-        assert float(row["bin_lo"]) == b.lo
-        assert int(row["count"]) == b.count
-        if b.count:
-            assert float(row["avg_credibility"]) == b.credibility
+    for row, lo, count, cred in zip(rows, diag.lo, diag.count, diag.credibility):
+        assert float(row["bin_lo"]) == lo
+        assert int(row["count"]) == count
+        if count:
+            assert float(row["avg_credibility"]) == cred
 
 
 # ---------------------------------------------------- averaged_credibility
 
 
 def test_averaged_uniform_map():
-    cmap = CredibilityMap(RealRaster(np.full((8, 8), 0.37)), 1.0)
+    cmap = np.full((8, 8), 0.37)
     mask = np.zeros((8, 8), dtype=bool)
     mask[2:5, 1:7] = True
     assert abs(averaged_credibility(cmap, mask) - 0.37) < 1e-15
@@ -428,23 +424,23 @@ def test_averaged_uniform_map():
 
 def test_averaged_partition_identity():
     rng = np.random.default_rng(3)
-    cmap = CredibilityMap(RealRaster(rng.uniform(0.0, 1.0, (16, 16))), 0.5)
+    cmap = rng.uniform(0.0, 1.0, (16, 16))
     a = np.zeros((16, 16), dtype=bool)
     a[:7] = True
     b = ~a
-    n = cmap.values.data.size
+    n = cmap.size
     lhs = a.sum() * averaged_credibility(cmap, a) + b.sum() * averaged_credibility(cmap, b)
     rhs = n * averaged_credibility(cmap, np.ones((16, 16), dtype=bool))
     assert abs(lhs - rhs) < 1e-9
 
 
 def test_averaged_empty_mask():
-    cmap = CredibilityMap(RealRaster(np.full((4, 4), 0.5)), 1.0)
+    cmap = np.full((4, 4), 0.5)
     with pytest.raises(EmptyMask):
         averaged_credibility(cmap, np.zeros((4, 4), dtype=bool))
 
 
 def test_averaged_mask_shape_mismatch():
-    cmap = CredibilityMap(RealRaster(np.full((4, 4), 0.5)), 1.0)
+    cmap = np.full((4, 4), 0.5)
     with pytest.raises(ShapeMismatch):
         averaged_credibility(cmap, np.zeros((5, 4), dtype=bool))
