@@ -29,14 +29,25 @@ arrays live in one workspace: the padded input, the four column matrices
 and the layer outputs are allocated once per ``train()`` call, sized for
 a full batch, and every step (the short last batch included) writes into
 them. The backward pass builds its input-gradient columns and outputs in
-buffers the forward pass has finished with. Ensemble members
-train one after another; the BLAS library's own threads inside the GEMMs
-are the only parallelism, and they do not change any result.
+buffers the forward pass has finished with.
+
+Ensemble members train side by side, one per thread of a pool with as
+many workers as members or usable CPUs, whichever is fewer. The GEMMs
+are too small to split well, so while the pool runs the OpenBLAS that
+numpy loaded is pinned to one thread through its own
+``openblas_set_num_threads`` entry point, and its previous count is put
+back after. Where no such entry point is found the pool has one worker
+and the members train one after another on the BLAS library's threads.
+Neither the pool size nor the BLAS thread count changes any result.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -60,6 +71,13 @@ EXP_LIMIT = math.log(np.finfo(np.float64).max)  # exp(x) overflows above this
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+# OpenBLAS thread-count entry points; the builds vendored in numpy wheels
+# decorate the names with a prefix and an integer-width suffix
+OPENBLAS_ENTRY_POINTS = [
+    (f"{pre}openblas_get_num_threads{suf}", f"{pre}openblas_set_num_threads{suf}")
+    for pre in ("", "scipy_")
+    for suf in ("", "64_")
+]
 
 
 # ---------------------------------------------------------------- types
@@ -352,6 +370,52 @@ def _backward_batch(params, x, y, mask, ws=None):
     return [dk1, db1, dk2, db2, dk3, db3, dk4, db4], loss
 
 
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of each OpenBLAS mapped into this process.
+
+    Empty where none is found, as on a BLAS other than OpenBLAS or a system
+    without /proc/self/maps. Pinning every copy pins numpy's, whichever it is.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            lines = [line for line in fh if "openblas" in line.lower()]
+    except OSError:
+        return []
+    controls = []
+    for path in sorted({line.split(maxsplit=5)[5].strip() for line in lines}):
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: this only takes a handle on it
+        except OSError:
+            continue
+        for get_name, set_name in OPENBLAS_ENTRY_POINTS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread(controls):
+    """Pins each OpenBLAS to one thread, restoring its previous count on exit."""
+    before = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(1)
+        yield
+    finally:
+        for (_, set_), n in zip(controls, before):
+            set_(n)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _check_stack(inputs) -> np.ndarray:
     arr = np.asarray(inputs, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != CHANNELS[0]:
@@ -444,12 +508,27 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
 
 
 def train_ensemble(dataset: Dataset, cfg: TrainConfig) -> list[RegressorParams]:
-    """Independent members on disjoint seeds cfg.seed + 0 .. P-1, one after another.
+    """Independent members on disjoint seeds cfg.seed + 0 .. P-1, trained side by side.
 
-    Member p depends only on the dataset and cfg.seed + p, not on P.
+    Member p is ``train`` on cfg.seed + p and depends only on the dataset
+    and that seed, not on P, the pool size or the BLAS thread count. The
+    pool has min(P, usable CPUs) workers, each running whole members, with
+    OpenBLAS pinned to one thread meanwhile; it has one worker, and BLAS
+    keeps its threads, when OpenBLAS cannot be pinned. A member's error is
+    raised as it is, after the members already running have finished and
+    those not started are dropped.
     """
     cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(cfg.ensemble_size)]
-    return [train(dataset, c) for c in cfgs]
+    controls = _openblas_thread_controls()
+    workers = min(len(cfgs), _usable_cpus()) if controls else 1
+    with _one_blas_thread(controls if workers > 1 else []), ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(train, dataset, c) for c in cfgs]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
 
 
 def predict_ensemble(models, inputs) -> PredictiveEnsemble:

@@ -396,8 +396,8 @@ def train_stage(
     """Fit the deep ensemble on the training patches, one checkpoint each.
 
     Checkpoints have no 2-D preview, so export_pgm writes nothing here.
-    threads is accepted for older callers and ignored: members train one
-    after another, and only the BLAS library's own threads run in parallel.
+    threads is accepted for older callers and ignored: ``train_ensemble``
+    sizes its own member thread pool from the CPUs this process may use.
     """
     t = cfg.train
     xs, _ = _load(preprocess_dir, "patches_inputs.puqt")

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseuq import pipeline
+from phaseuq import learner, pipeline
 from phaseuq.cli import DEMO_CONFIG, main
 from phaseuq.config import parse_config
-from phaseuq.errors import DemoGateFailure
+from phaseuq.errors import DemoGateFailure, DivergedLoss
 from phaseuq.tensorfile import read_records, read_tensor, write_tensor
 
 SMALL = """
@@ -640,6 +640,26 @@ def test_cli_train_independent_of_blas_threads(chain, tmp_path):
         runs[name] = {p.name: p.read_bytes() for p in sorted((out / "train-001").glob("*.puqt"))}
     assert len(runs["one"]) == 2
     assert runs["one"] == runs["default"]
+
+
+def test_cli_train_member_divergence_is_one_error_line(chain, cfg, tmp_path, capsys, monkeypatch):
+    """A member that diverges on a pool thread fails the command with one line."""
+    real = learner.train
+
+    def failing(dataset, c, loss_history=None):
+        if c.seed == cfg.train.seed + 1:
+            raise DivergedLoss("loss became nan")
+        return real(dataset, c, loss_history)
+
+    monkeypatch.setattr(learner, "train", failing)
+    text = SMALL + f'\npaths {{\n  preprocess_dir {chain["preprocess"]}\n}}\n'
+    out = tmp_path / "r"
+    rc = main(["train", "--config", _write_cfg(tmp_path, text), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
+    assert "code=DivergedLoss" in err
+    assert not (out.exists() and list(out.glob("*train-*")))
 
 
 def test_cli_import_loads_no_transform_modules():

@@ -1,6 +1,7 @@
 """Network, likelihood, gradients, training loop, ensembles."""
 
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from scipy.signal import convolve, correlate
 
 from conftest import bump_field, hetero_dataset, hetero_holdout, hetero_sigma
+from phaseuq import learner
 from phaseuq.config import TrainConfig
 from phaseuq.errors import (
     ConfigError,
@@ -447,6 +449,95 @@ def test_train_ensemble_member_independent_of_size():
         if p < 2:
             for x, y in zip(member.as_list(), two[p].as_list()):
                 assert np.array_equal(x, y)
+
+
+def _trained_on_threads(monkeypatch, ds, cfg):
+    """train_ensemble's members and the names of the threads that trained them."""
+    names = set()
+
+    def recording(*args, **kwargs):
+        names.add(threading.current_thread().name)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "train", recording)
+    return train_ensemble(ds, cfg), names
+
+
+def test_train_ensemble_independent_of_pool_size(monkeypatch):
+    # one worker where OpenBLAS cannot be pinned, two where it can
+    ds = toy_dataset((8, 80, False))
+    cfg = TrainConfig(lr=1e-3, epochs=4, dropout_rate=0.1, seed=7, ensemble_size=3)
+    monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(learner, "_openblas_thread_controls", lambda: [])
+    one, one_threads = _trained_on_threads(monkeypatch, ds, cfg)
+    count = [4]
+    fake = (lambda: count[0], lambda n: count.__setitem__(0, n))
+    monkeypatch.setattr(learner, "_openblas_thread_controls", lambda: [fake])
+    two, two_threads = _trained_on_threads(monkeypatch, ds, cfg)
+    assert (len(one_threads), len(two_threads)) == (1, 2)
+    assert count == [4]
+    monkeypatch.undo()
+    for p, (a, b) in enumerate(zip(one, two, strict=True)):
+        alone = train(ds, replace(cfg, seed=cfg.seed + p))
+        for x, y, z in zip(a.as_list(), b.as_list(), alone.as_list()):
+            assert np.array_equal(x, y) and np.array_equal(x, z)
+
+
+@pytest.fixture
+def blas_threads():
+    """The first OpenBLAS's (get, set), set to two threads and restored after."""
+    controls = learner._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread-count entry point in this process")
+    get, set_ = controls[0]
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+def test_train_ensemble_pins_and_restores_blas_threads(blas_threads, monkeypatch):
+    get, _ = blas_threads
+    ds = toy_dataset((8, 80, False))
+    cfg = TrainConfig(lr=1e-3, epochs=2, dropout_rate=0.1, seed=0, ensemble_size=2)
+    during = []
+
+    def recording(*args, **kwargs):
+        during.append(get())
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(learner, "train", recording)
+    train_ensemble(ds, cfg)
+    assert during == [1, 1]
+    assert get() == 2
+
+
+def test_train_ensemble_member_error_propagates_and_restores(blas_threads, monkeypatch):
+    get, _ = blas_threads
+    ds = toy_dataset((8, 80, False))
+    cfg = TrainConfig(lr=1e-3, epochs=2, dropout_rate=0.1, seed=5, ensemble_size=3)
+    def failing(dataset, c, loss_history=None):
+        if c.seed == cfg.seed + 1:
+            raise DivergedLoss("member 1 diverged")
+        return train(dataset, c, loss_history)
+
+    monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(learner, "train", failing)
+    with pytest.raises(DivergedLoss) as exc:
+        train_ensemble(ds, cfg)
+    assert type(exc.value) is DivergedLoss and str(exc.value) == "member 1 diverged"
+    assert get() == 2
+
+
+def test_openblas_build_has_a_thread_count_entry_point():
+    """Where numpy is built on OpenBLAS the pool must not fall back to one worker."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip(f"numpy is built on {blas.get('name')!r}, not OpenBLAS")
+    controls = learner._openblas_thread_controls()
+    assert controls
+    assert all(get() >= 1 for get, _ in controls)
 
 
 def test_predict_ensemble_identical_members():
