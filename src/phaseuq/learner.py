@@ -21,23 +21,30 @@ the seeds.
 
 Each convolution is an im2col followed by one GEMM. Activations are kept
 channel-major, (c, n, h, w); the column matrix of a layer input x is
-(9c, n*h*w), built from the 9 shifted slices of the zero-padded x, so the
-layer is k.reshape(o, 9c) @ cols. The forward pass keeps each layer's
-column matrix and the backward pass reuses it for the kernel gradient;
-the input gradient of the first layer is never formed. All of these
-arrays live in one workspace: the padded input, the four column matrices
-and the layer outputs are allocated once per ``train()`` call, sized for
-a full batch, and every step (the short last batch included) writes into
-them. The backward pass builds its input-gradient columns and outputs in
-buffers the forward pass has finished with.
+(9c, n*h*w), its 9 shifted windows of the zero-padded x, so the layer is
+k.reshape(o, 9c) @ cols. The windows are taken by one copy from a
+stride-tricks view of the padded buffer, so a layer costs the same few
+numpy calls whatever its size: a pad write, that copy, a write zeroing
+the window edges, the GEMM, a bias add and a ReLU. The forward pass keeps
+each layer's column matrix and the backward pass reuses it for the
+kernel gradient; the input gradient of the first layer is never formed.
+All of these arrays live in one ``Workspace``: the padded input, the four
+column matrices and the layer outputs, allocated once and sized for a
+full batch, with the views onto them shaped once per batch size. ``train``
+holds one per call and every step (the short last batch included) writes
+into it; ``forward`` runs in one its caller holds, or a fresh one. The
+backward pass builds its input-gradient columns and outputs in buffers
+the forward pass has finished with.
 
-Ensemble members train side by side, one per thread of a pool with as
-many workers as members or usable CPUs, whichever is fewer. The GEMMs
-are too small to split well, so while the pool runs the OpenBLAS that
-numpy loaded is pinned to one thread through its own
+Ensemble members run side by side, one per thread of ``run_members``'
+pool, which has as many workers as members or usable CPUs, whichever is
+fewer: ``train_ensemble`` trains them there, and the pipeline's predict
+stage runs each member's single-patch forwards there. The GEMMs are too
+small to split well, so while the pool runs the OpenBLAS that numpy
+loaded is pinned to one thread through its own
 ``openblas_set_num_threads`` entry point, and its previous count is put
 back after. Where no such entry point is found the pool has one worker
-and the members train one after another on the BLAS library's threads.
+and the members run one after another on the BLAS library's threads.
 Neither the pool size nor the BLAS thread count changes any result.
 """
 
@@ -52,6 +59,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .config import TrainConfig
 from .errors import (
@@ -203,32 +211,77 @@ class PredictiveEnsemble:
 # ------------------------------------------------------------ plumbing
 
 
-class _Workspace:
+class Workspace:
     """The buffers of one batched pass, for up to n samples of h x w.
 
     Each buffer is flat and sized for n samples; a batch of m <= n samples
-    uses a prefix of it, reshaped. The padded buffer's (h + 2) x (w + 2)
-    planes are only ever written inside their zero border, and any prefix
-    of it is whole planes, so the border stays zero for every channel count
-    and batch size.
+    uses a prefix of it, reshaped. The padded buffer holds one (h + 2) x w
+    plane per channel and sample: the sample's rows between a zero row
+    above and one below. Only the rows between are ever written, and any
+    prefix of the buffer is whole planes, so the zero rows stay zero for
+    every channel count and batch size. The views a pass works through
+    are shaped once per batch size and kept. A workspace serves one
+    thread at a time.
     """
 
     def __init__(self, n: int, h: int, w: int):
         self.n, self.hw = n, (h, w)
         px = n * h * w
-        self.pad = np.zeros(max(CHANNELS) * n * (h + 2) * (w + 2))
+        # a spare element at either end: the first window starts one before the
+        # first plane, and the last ends one after the last
+        self.pad = np.zeros(max(CHANNELS) * n * (h + 2) * w + 2)
         # column matrices of the four layer inputs
         self.cols = [np.empty(9 * c * px) for c in CHANNELS[:-1]]
         # GEMM outputs z1, z2, z3 and the network output
         self.z = [np.empty(c * px) for c in CHANNELS[1:]]
         # activations a1, d2, a3, overwritten by their gradients in backward
         self.acts = [np.empty(c * px) for c in CHANNELS[1:-1]]
+        self._views: dict = {}
+
+    def im2col_views(self, j: int, c: int, m: int) -> tuple:
+        """``_im2col``'s views for m samples of c channels into column buffer j."""
+        key = (j, c, m)
+        if key not in self._views:
+            h, w = self.hw
+            xp = _view(self.pad[1:], (c, m, h + 2, w))
+            sc, sn, sy, sx = xp.strides
+            # window (dy, dx) of channel ci and sample ni is the run of h*w elements
+            # from xp[ci, ni, dy, dx - 1]: shifted rows, each wrapping one element
+            # at its left (dx = 0) or right (dx = 2) edge into the next row
+            windows = as_strided(
+                self.pad, (c, 3, 3, m, h * w), (sc, sy, sx, sn, sx), writeable=False
+            )
+            out = _view(self.cols[j], (c, 3, 3, m, h, w))
+            oc, ody, odx, on, oy, ox = out.strides
+            # the wrapped elements: column 0 of dx = 0 and column w - 1 of dx = 2
+            edges = as_strided(out, (c, 3, 2, m, h), (oc, ody, 2 * odx + (w - 1) * ox, on, oy))
+            self._views[key] = (
+                xp[:, :, 1:-1],
+                windows,
+                out.reshape(c, 3, 3, m, h * w),
+                edges,
+                out.reshape(9 * c, m * h * w),
+            )
+        return self._views[key]
+
+    def layer_views(self, m: int) -> list[tuple]:
+        """Per layer: im2col views, GEMM output (o, m*h*w) and (o, m, h, w), activation."""
+        key = ("layers", m)
+        if key not in self._views:
+            shape = (m, *self.hw)
+            layers = []
+            for i, (c, o) in enumerate(zip(CHANNELS[:-1], CHANNELS[1:])):
+                z = _view(self.z[i], (o, *shape))
+                act = _view(self.acts[i], z.shape) if i < 3 else None
+                layers.append((self.im2col_views(i, c, m), z.reshape(o, -1), z, act))
+            self._views[key] = layers
+        return self._views[key]
 
 
-def _workspace_for(x: np.ndarray, ws: _Workspace | None) -> _Workspace:
+def _workspace_for(x: np.ndarray, ws: Workspace | None) -> Workspace:
     n, _, h, w = x.shape
     if ws is None:
-        return _Workspace(n, h, w)
+        return Workspace(n, h, w)
     if n > ws.n or (h, w) != ws.hw:
         raise ShapeMismatch(f"batch {x.shape} does not fit a workspace for {ws.n} x {ws.hw}")
     return ws
@@ -238,27 +291,26 @@ def _view(buf: np.ndarray, shape) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _im2col(x: np.ndarray, pad: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _im2col(x: np.ndarray, views) -> np.ndarray:
     """(c, n, h, w) -> (9c, n*h*w) column matrix of zero-padded 3x3 windows.
 
-    Built in the buffer cols, through the zero-bordered buffer pad. Row
-    9*ci + 3*dy + dx holds channel ci shifted by (dy - 1, dx - 1), the
-    order of k.reshape(o, 9c) for a kernel k of shape (o, c, 3, 3).
+    views are ``Workspace.im2col_views`` for x's shape: x is written
+    between the zero rows of the pad buffer, one copy takes all nine
+    shifted windows of it into the column buffer, and one write zeroes the
+    edge columns that the horizontal shifts wrapped. Row 9*ci + 3*dy + dx
+    holds channel ci shifted by (dy - 1, dx - 1), the order of
+    k.reshape(o, 9c) for a kernel k of shape (o, c, 3, 3).
     """
-    c, n, h, w = x.shape
-    xp = _view(pad, (c, n, h + 2, w + 2))
-    xp[:, :, 1:-1, 1:-1] = x
-    out = _view(cols, (c, 9, n, h, w))
-    for dy in range(3):
-        for dx in range(3):
-            out[:, 3 * dy + dx] = xp[:, :, dy : dy + h, dx : dx + w]
-    return out.reshape(9 * c, n * h * w)
+    interior, windows, out, edges, cols = views
+    np.copyto(interior, x)
+    np.copyto(out, windows)
+    edges[...] = 0.0
+    return cols
 
 
 def _conv3(cols: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # one GEMM: (o, 9c) @ (9c, n*h*w) into out, (o, n, h, w) channel-major
-    np.matmul(k.reshape(k.shape[0], -1), cols, out=out.reshape(k.shape[0], -1))
-    return out
+    # one GEMM: (o, 9c) @ (9c, n*h*w) into out, (o, n*h*w) channel-major
+    return np.matmul(k.reshape(k.shape[0], -1), cols, out=out)
 
 
 def _conv3_grad(cols, k, dy):
@@ -270,7 +322,7 @@ def _conv3_grad(cols, k, dy):
     return (dy2 @ cols.T).reshape(k.shape), dy2.sum(axis=1)
 
 
-def _conv3_dx(ws: _Workspace, layer: int, k, dy):
+def _conv3_dx(ws: Workspace, layer: int, k, dy):
     """Input gradient of the 0-based layer 1, 2 or 3 given upstream dy.
 
     dx is a 3x3 convolution of dy with the flipped, transposed kernel. Its
@@ -279,8 +331,11 @@ def _conv3_dx(ws: _Workspace, layer: int, k, dy):
     activation it is the gradient of.
     """
     kf = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    cols = _im2col(dy, ws.pad, ws.cols[min(layer + 1, 3)])
-    return _conv3(cols, kf, _view(ws.acts[layer - 1], (kf.shape[0], *dy.shape[1:])))
+    c, n, h, w = dy.shape
+    cols = _im2col(dy, ws.im2col_views(min(layer + 1, 3), c, n))
+    dx = _view(ws.acts[layer - 1], (kf.shape[0], n, h, w))
+    _conv3(cols, kf, dx.reshape(kf.shape[0], -1))
+    return dx
 
 
 def _sample_mask(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -299,34 +354,27 @@ def _swap_nc(a: np.ndarray) -> np.ndarray:
 def _forward_cols(params, x, mask, ws=None):
     """Forward pass in channel-major (c, n, h, w) layout.
 
-    params holds the eight arrays in ``RegressorParams.as_list()`` order.
-    Returns the output (2, n, h, w), the activations and the four column
-    matrices, which the backward pass reuses for the kernel gradients. They
-    live in the workspace ws, built for this call when none is given, and
-    hold until its next use.
+    params holds the eight arrays in ``RegressorParams.as_list()`` order;
+    mask is the (n, 32) dropout mask, or None for none. Returns the output
+    (2, n, h, w), the input and activations (x0, z1, a1, z2, d2, z3, a3),
+    and the four column matrices, which the backward pass reuses for the
+    kernel gradients. They live in the workspace ws, built for this call
+    when none is given, and hold until its next use. Each layer is one
+    ``_im2col``, one GEMM, one bias add and, below the top, one ReLU.
     """
     ws = _workspace_for(x, ws)
-    shape = (x.shape[0], *x.shape[2:])
-
-    def layer(i, a):
-        cols = _im2col(a, ws.pad, ws.cols[i])
-        z = _conv3(cols, params[2 * i], _view(ws.z[i], (CHANNELS[i + 1], *shape)))
-        z += params[2 * i + 1][:, None, None, None]
-        return cols, z
-
-    def relu(i, z):
-        return np.maximum(z, 0.0, out=_view(ws.acts[i], z.shape))
-
-    x0 = _swap_nc(x)
-    c1, z1 = layer(0, x0)
-    a1 = relu(0, z1)
-    c2, z2 = layer(1, a1)
-    d2 = relu(1, z2)
-    d2 *= mask.T[:, :, None, None]
-    c3, z3 = layer(2, d2)
-    a3 = relu(2, z3)
-    c4, out = layer(3, a3)
-    return out, (x0, z1, a1, z2, d2, z3, a3), (c1, c2, c3, c4)
+    a = _swap_nc(x)
+    acts, cols = [a], []
+    for i, (views, z2d, z, act) in enumerate(ws.layer_views(x.shape[0])):
+        cols.append(_im2col(a, views))
+        _conv3(cols[i], params[2 * i], z2d)
+        z2d += params[2 * i + 1][:, None]
+        if act is None:
+            return z, tuple(acts), cols
+        a = np.maximum(z, 0.0, out=act)
+        if i == 1 and mask is not None:
+            a *= mask.T[:, :, None, None]
+        acts += [z, a]
 
 
 def _loss_and_grad_out(out, y):
@@ -438,11 +486,16 @@ def init_params(seed: int) -> RegressorParams:
     return RegressorParams(*tensors)
 
 
-def forward(params: RegressorParams, inputs) -> PredictiveMap:
-    """Deterministic prediction for one (5, H, W) stack; dropout is off."""
+def forward(params: RegressorParams, inputs, ws: Workspace | None = None) -> PredictiveMap:
+    """Deterministic prediction for one (5, H, W) stack; dropout is off.
+
+    Runs in the caller's workspace ws when one is given, built for one
+    H x W sample, else in a fresh one. The result owns its arrays.
+    """
     arr = _check_stack(inputs)
-    out, _, _ = _forward_cols(params.as_list(), arr[None], np.ones((1, CHANNELS[2])))
-    return PredictiveMap(RealRaster(out[0, 0]), RealRaster(out[1, 0]))
+    out, _, _ = _forward_cols(params.as_list(), arr[None], None, ws)
+    mu, log_scale = out[:, 0].copy()
+    return PredictiveMap(RealRaster(mu), RealRaster(log_scale))
 
 
 def nll_loss(pred: PredictiveMap, target: np.ndarray) -> float:
@@ -483,7 +536,7 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
     params = init_params(cfg.seed).as_list()
     m = [np.zeros_like(a) for a in params]
     v = [np.zeros_like(a) for a in params]
-    ws = _Workspace(min(cfg.batch_size, k), *x.shape[2:])
+    ws = Workspace(min(cfg.batch_size, k), *x.shape[2:])
     t = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(k)
@@ -507,28 +560,39 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
     return RegressorParams(*params)
 
 
-def train_ensemble(dataset: Dataset, cfg: TrainConfig) -> list[RegressorParams]:
-    """Independent members on disjoint seeds cfg.seed + 0 .. P-1, trained side by side.
+def run_members(task, items) -> list:
+    """[task(item) for item in items], the items side by side on a thread pool.
 
-    Member p is ``train`` on cfg.seed + p and depends only on the dataset
-    and that seed, not on P, the pool size or the BLAS thread count. The
-    pool has min(P, usable CPUs) workers, each running whole members, with
-    OpenBLAS pinned to one thread meanwhile; it has one worker, and BLAS
-    keeps its threads, when OpenBLAS cannot be pinned. A member's error is
-    raised as it is, after the members already running have finished and
-    those not started are dropped.
+    The pool has min(len(items), usable CPUs) workers, each running whole
+    items, with OpenBLAS pinned to one thread meanwhile and its previous
+    count restored after; it has one worker, and BLAS keeps its threads,
+    when OpenBLAS cannot be pinned. An item's error is raised as it is,
+    after the items already running have finished and those not started
+    are dropped.
     """
-    cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(cfg.ensemble_size)]
+    items = list(items)
     controls = _openblas_thread_controls()
-    workers = min(len(cfgs), _usable_cpus()) if controls else 1
+    workers = min(len(items), _usable_cpus()) if controls else 1
     with _one_blas_thread(controls if workers > 1 else []), ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(train, dataset, c) for c in cfgs]
+        futures = [pool.submit(task, item) for item in items]
         try:
             return [f.result() for f in futures]
         except BaseException:
             for f in futures:
                 f.cancel()
             raise
+
+
+def train_ensemble(dataset: Dataset, cfg: TrainConfig) -> list[RegressorParams]:
+    """Independent members on disjoint seeds cfg.seed + 0 .. P-1, trained side by side.
+
+    Member p is ``train`` on cfg.seed + p and depends only on the dataset
+    and that seed, not on P, the pool size or the BLAS thread count. The
+    members run on ``run_members``' pool.
+    """
+    cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(cfg.ensemble_size)]
+    # train is looked up per member, so a wrapper set on this module is what runs
+    return run_members(lambda c: train(dataset, c), cfgs)
 
 
 def predict_ensemble(models, inputs) -> PredictiveEnsemble:

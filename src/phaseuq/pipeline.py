@@ -47,7 +47,9 @@ from .learner import (
     PredictiveEnsemble,
     PredictiveMap,
     RegressorParams,
+    Workspace,
     forward,
+    run_members,
     train_ensemble,
 )
 from .optics import (
@@ -434,7 +436,12 @@ def _load_checkpoint(path) -> RegressorParams:
 def predict_stage(
     cfg: ExperimentConfig, out_root, preprocess_dir, train_dir, *, export_pgm: bool = False
 ) -> Path:
-    """Per-member predictive maps over all patches (rank 4, so no PGM previews)."""
+    """Per-member predictive maps over all patches (rank 4, so no PGM previews).
+
+    The members run side by side on ``learner.run_members``' thread pool,
+    each in its own workspace, one ``forward`` per patch. Each member's
+    maps depend only on its checkpoint and the patches, not on the pool.
+    """
     xs, _ = _load(preprocess_dir, "patches_inputs.puqt")
     paths = sorted(Path(train_dir).glob("checkpoint_*.puqt"))
     if not paths:
@@ -444,11 +451,16 @@ def predict_stage(
     n_patches = xs.shape[0]
     mu = np.empty((len(members), n_patches) + xs.shape[2:])
     sigma = np.empty_like(mu)
-    for p, params in enumerate(members):
-        for k in range(n_patches):
-            pred = forward(params, xs[k])
+
+    def predict_member(p: int) -> None:
+        ws = Workspace(1, *xs.shape[2:])
+        for k, x in enumerate(xs):
+            # this module's forward, looked up per patch, so a wrapper set on it sees each call
+            pred = forward(members[p], x, ws)
             mu[p, k] = pred.mu.data
             sigma[p, k] = pred.sigma
+
+    run_members(predict_member, range(len(members)))
 
     inputs = {"preprocess": preprocess_dir, "train": train_dir}
     with _run(out_root, "predict", cfg, inputs, export_pgm=export_pgm) as run:

@@ -1,7 +1,9 @@
 """Shared synthetic-field helpers for the test suite."""
 
 import numpy as np
+import pytest
 
+from phaseuq import learner
 from phaseuq.learner import Dataset
 
 
@@ -86,3 +88,16 @@ def hetero_holdout(n_val=32, amplitude=None, base_seed=1000):
         x, _, sig_true, t = hetero_pair(base_seed + i, amp)
         out.append((x, sig_true, t))
     return out
+
+
+@pytest.fixture
+def blas_threads():
+    """The first OpenBLAS's (get, set), set to two threads and restored after."""
+    controls = learner._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread-count entry point in this process")
+    get, set_ = controls[0]
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)

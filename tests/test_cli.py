@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from phaseuq import learner, pipeline
 from phaseuq.cli import DEMO_CONFIG, main
 from phaseuq.config import parse_config
-from phaseuq.errors import DemoGateFailure, DivergedLoss
+from phaseuq.errors import DemoGateFailure, DivergedLoss, NonFiniteInput
 from phaseuq.tensorfile import read_records, read_tensor, write_tensor
 
 SMALL = """
@@ -238,6 +239,87 @@ def test_predict_artifacts(chain):
     sigma, _ = read_tensor(chain["predict"] / "sigma.puqt")
     assert mu.shape == (2, 16, 16, 16) and sigma.shape == mu.shape
     assert np.all(sigma > 0.0)
+
+
+PREDICT_CALLS = 2 * 16  # members x patches of the chain
+
+
+def _member_k1(chain, p):
+    return read_records(sorted(chain["train"].glob("checkpoint_*.puqt"))[p])[0][1]
+
+
+def _recording_forward(monkeypatch, record):
+    """Wraps pipeline.forward so that record(params) runs before every patch."""
+    real = pipeline.forward
+
+    def recording(params, x, ws=None):
+        record(params)
+        return real(params, x, ws)
+
+    monkeypatch.setattr(pipeline, "forward", recording)
+
+
+def test_predict_independent_of_pool_size(chain, cfg, tmp_path, monkeypatch):
+    # one worker where OpenBLAS cannot be pinned, two where a (fake) pin works
+    threads, pinned = set(), []
+    count = [4]
+    fake = (lambda: count[0], lambda n: count.__setitem__(0, n))
+
+    def record(_):
+        threads.add(threading.current_thread().name)
+        pinned.append(count[0])
+
+    _recording_forward(monkeypatch, record)
+    monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+    runs = {}
+    for name, controls in (("one", []), ("two", [fake])):
+        monkeypatch.setattr(learner, "_openblas_thread_controls", lambda c=controls: c)
+        run = pipeline.predict_stage(cfg, tmp_path / name, chain["preprocess"], chain["train"])
+        runs[name] = {f: (run / f).read_bytes() for f in ("mu.puqt", "sigma.puqt")}
+        if name == "one":
+            assert len(threads) == 1
+    assert pinned == [4] * PREDICT_CALLS + [1] * PREDICT_CALLS and count == [4]
+    assert runs["one"] == runs["two"]
+    monkeypatch.undo()
+    # equal to one forward per patch, each in a fresh workspace
+    xs, _ = read_tensor(chain["preprocess"] / "patches_inputs.puqt")
+    mu, _ = read_tensor(run / "mu.puqt")
+    sigma, _ = read_tensor(run / "sigma.puqt")
+    paths = sorted(chain["train"].glob("checkpoint_*.puqt"))
+    for p, params in enumerate(pipeline._load_checkpoint(path) for path in paths):
+        for k, x in enumerate(xs):
+            pred = learner.forward(params, x)
+            assert np.array_equal(mu[p, k], pred.mu.data)
+            assert np.array_equal(sigma[p, k], pred.sigma)
+
+
+def test_predict_pins_and_restores_blas_threads(chain, cfg, tmp_path, blas_threads, monkeypatch):
+    get, _ = blas_threads
+    during = []
+    _recording_forward(monkeypatch, lambda _: during.append(get()))
+    monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+    pipeline.predict_stage(cfg, tmp_path, chain["preprocess"], chain["train"])
+    assert during == [1] * PREDICT_CALLS
+    assert get() == 2
+
+
+def test_predict_member_error_propagates_and_restores(
+    chain, cfg, tmp_path, blas_threads, monkeypatch
+):
+    get, _ = blas_threads
+    k1 = _member_k1(chain, 1)
+
+    def fail_member_1(params):
+        if np.array_equal(params.k1, k1):
+            raise NonFiniteInput("member 1 failed")
+
+    _recording_forward(monkeypatch, fail_member_1)
+    monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+    with pytest.raises(NonFiniteInput) as exc:
+        pipeline.predict_stage(cfg, tmp_path, chain["preprocess"], chain["train"])
+    assert type(exc.value) is NonFiniteInput and str(exc.value) == "member 1 failed"
+    assert get() == 2
+    assert not list(tmp_path.glob("*predict-*"))
 
 
 def test_analyze_artifacts(chain):
@@ -660,6 +742,29 @@ def test_cli_train_member_divergence_is_one_error_line(chain, cfg, tmp_path, cap
     assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
     assert "code=DivergedLoss" in err
     assert not (out.exists() and list(out.glob("*train-*")))
+
+
+def test_cli_predict_member_error_is_one_error_line(chain, tmp_path, capsys, monkeypatch):
+    """A member whose forward fails on a pool thread fails the command with one line."""
+    k1 = _member_k1(chain, 1)
+
+    def fail_member_1(params):
+        if np.array_equal(params.k1, k1):
+            raise NonFiniteInput("mu became nan")
+
+    _recording_forward(monkeypatch, fail_member_1)
+    monkeypatch.setattr(learner, "_usable_cpus", lambda: 2)
+    text = SMALL + (
+        f'\npaths {{\n  preprocess_dir {chain["preprocess"]}\n'
+        f'  train_dir {chain["train"]}\n}}\n'
+    )
+    out = tmp_path / "r"
+    rc = main(["predict", "--config", _write_cfg(tmp_path, text), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("\n") == 1 and ERROR_LINE.match(err.strip())
+    assert "code=NonFiniteInput" in err
+    assert not (out.exists() and list(out.glob("*predict-*")))
 
 
 def test_cli_import_loads_no_transform_modules():

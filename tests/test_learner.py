@@ -25,6 +25,7 @@ from phaseuq.learner import (
     Dataset,
     PredictiveMap,
     RegressorParams,
+    Workspace,
     backward,
     forward,
     init_params,
@@ -36,9 +37,9 @@ from phaseuq.learner import (
 from phaseuq.learner import (
     _backward_batch,
     _forward_cols,
+    _im2col,
     _loss_and_grad_out,
     _sample_mask,
-    _Workspace,
 )
 
 
@@ -277,7 +278,7 @@ def test_reused_workspace_leaks_nothing_between_batches():
     # full batch, a shorter batch in a prefix of the same buffers, full again
     rng = np.random.default_rng(31)
     params = unflatten(0.3 * rng.normal(size=flatten(init_params(0)).size)).as_list()
-    ws = _Workspace(4, 10, 14)
+    ws = Workspace(4, 10, 14)
     for n in (4, 3, 4):
         x = rng.normal(size=(n, 5, 10, 14))
         y = rng.normal(size=(n, 10, 14))
@@ -290,7 +291,7 @@ def test_reused_workspace_leaks_nothing_between_batches():
 
 
 def test_workspace_rejects_batch_it_cannot_hold():
-    ws = _Workspace(2, 8, 8)
+    ws = Workspace(2, 8, 8)
     ones = np.ones((3, 32))
     with pytest.raises(ShapeMismatch):
         _forward_cols(init_params(0).as_list(), np.zeros((3, 5, 8, 8)), ones, ws)
@@ -311,6 +312,62 @@ def test_forward_and_backward_results_do_not_alias_buffers():
     after = (pred.mu.data, pred.log_scale.data, *grads.as_list())
     for a, b in zip(kept, after):
         assert np.array_equal(a, b)
+
+
+def _im2col_reference(x):
+    """The nine-slice im2col: (c, n, h, w) -> (9c, n*h*w), row 9*ci + 3*dy + dx."""
+    c, n, h, w = x.shape
+    xp = np.zeros((c, n, h + 2, w + 2))
+    xp[:, :, 1:-1, 1:-1] = x
+    out = np.empty((c, 9, n, h, w))
+    for dy in range(3):
+        for dx in range(3):
+            out[:, 3 * dy + dx] = xp[:, :, dy : dy + h, dx : dx + w]
+    return out.reshape(9 * c, n * h * w)
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_im2col_matches_nine_slice_reference(n):
+    # every (column buffer, channel count) the passes use: the four layer
+    # inputs forward, and dy of 2, 16 and 32 channels backward; twice over,
+    # so each call follows a wider one in the shared pad buffer
+    rng = np.random.default_rng(40 + n)
+    ws = Workspace(16, 6, 7)
+    for j, c in [(0, 5), (1, 16), (2, 32), (3, 16), (3, 2)] * 2:
+        x = rng.normal(size=(c, n, 6, 7))
+        assert np.array_equal(_im2col(x, ws.im2col_views(j, c, n)), _im2col_reference(x))
+
+
+def test_forward_in_a_held_workspace_matches_fresh_workspaces():
+    # two members alternate over three patches, one of them all zero and one negative
+    rng = np.random.default_rng(33)
+    members = [unflatten(0.3 * rng.normal(size=flatten(init_params(0)).size)) for _ in range(2)]
+    patches = [
+        rng.normal(size=(5, 12, 12)),
+        np.zeros((5, 12, 12)),
+        -np.abs(rng.normal(size=(5, 12, 12))),
+    ]
+    ws = Workspace(1, 12, 12)
+    for x in patches * 2:
+        for params in members:
+            got, want = forward(params, x, ws), forward(params, x)
+            assert np.array_equal(got.mu.data, want.mu.data)
+            assert np.array_equal(got.log_scale.data, want.log_scale.data)
+
+
+def test_forward_result_does_not_alias_its_workspace():
+    rng = np.random.default_rng(34)
+    params = init_params(13)
+    x1, x2 = rng.normal(size=(2, 5, 12, 12))
+    ws = Workspace(1, 12, 12)
+    pred = forward(params, x1, ws)
+    kept = pred.mu.data.copy(), pred.log_scale.data.copy()
+    forward(params, x2, ws)
+    assert np.array_equal(pred.mu.data, kept[0])
+    assert np.array_equal(pred.log_scale.data, kept[1])
+    for buf in (ws.pad, *ws.cols, *ws.z, *ws.acts):
+        assert not np.shares_memory(pred.mu.data, buf)
+        assert not np.shares_memory(pred.log_scale.data, buf)
 
 
 def test_dropout_masked_channel_gets_zero_gradient():
@@ -481,19 +538,6 @@ def test_train_ensemble_independent_of_pool_size(monkeypatch):
         alone = train(ds, replace(cfg, seed=cfg.seed + p))
         for x, y, z in zip(a.as_list(), b.as_list(), alone.as_list()):
             assert np.array_equal(x, y) and np.array_equal(x, z)
-
-
-@pytest.fixture
-def blas_threads():
-    """The first OpenBLAS's (get, set), set to two threads and restored after."""
-    controls = learner._openblas_thread_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS thread-count entry point in this process")
-    get, set_ = controls[0]
-    before = get()
-    set_(2)
-    yield get, set_
-    set_(before)
 
 
 def test_train_ensemble_pins_and_restores_blas_threads(blas_threads, monkeypatch):
