@@ -1,5 +1,10 @@
 """Sampled 2D fields and the centered unitary Fourier convention.
 
+Fields and spectra are plain 2D ndarrays.  No function here keeps a pixel
+pitch: only ``freq_axis`` turns one into frequencies, and callers pass it
+the pitch of the grid they mean.  ``RealRaster`` remains only as the
+container of a predicted map in ``learner``.
+
 All spectra in this package live on centered grids: the DC sample of an
 ``n``-point axis sits at index ``n // 2``, and transforms are unitary
 (``norm="ortho"``), so energy is preserved to machine precision.
@@ -22,7 +27,6 @@ from .errors import NonFiniteInput, SizeMismatch
 
 __all__ = [
     "RealRaster",
-    "ComplexRaster",
     "fft2_unitary",
     "ifft2_unitary",
     "swap_quadrants",
@@ -33,85 +37,46 @@ __all__ = [
 ]
 
 
-def _validate(data: np.ndarray, pitch: float) -> None:
-    if data.ndim != 2:
-        raise SizeMismatch(f"raster must be 2D, got shape {data.shape}")
-    if data.shape[0] < 1 or data.shape[1] < 1:
-        raise SizeMismatch(f"raster sides must be >= 1, got {data.shape}")
-    if not np.isfinite(data).all():
-        raise NonFiniteInput("raster contains NaN or Inf samples")
-    if not (pitch > 0 and math.isfinite(pitch)):
-        raise NonFiniteInput(f"pitch must be positive and finite, got {pitch}")
-
-
 @dataclass(frozen=True)
 class RealRaster:
-    """Real-valued 2D field sampled on a square-pixel grid.
-
-    pitch is the physical pixel spacing in micrometres.
-    """
+    """Real-valued 2D field: one member's predicted map in ``learner``."""
 
     data: np.ndarray
-    pitch: float = 1.0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
-        _validate(data, self.pitch)
+        if data.ndim != 2:
+            raise SizeMismatch(f"raster must be 2D, got shape {data.shape}")
+        if data.shape[0] < 1 or data.shape[1] < 1:
+            raise SizeMismatch(f"raster sides must be >= 1, got {data.shape}")
+        if not np.isfinite(data).all():
+            raise NonFiniteInput("raster contains NaN or Inf samples")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "pitch", float(self.pitch))
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
 
-@dataclass(frozen=True)
-class ComplexRaster:
-    """Complex-valued 2D field or centered spectrum.
-
-    For spectra, pitch records the real-space pixel spacing of the grid the
-    spectrum corresponds to, so grid changes track through crop/embed.
-    """
-
-    data: np.ndarray
-    pitch: float = 1.0
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.complex128)
-        _validate(data, self.pitch)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "pitch", float(self.pitch))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
+def _check_fft_input(x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
+        raise SizeMismatch(f"transform needs a 2D array with sides >= 2, got {x.shape}")
 
 
-Raster = RealRaster | ComplexRaster
-
-
-def _check_fft_input(x: Raster) -> None:
-    h, w = x.shape
-    if h < 2 or w < 2:
-        raise SizeMismatch(f"transform needs sides >= 2, got {x.shape}")
-
-
-def fft2_unitary(x: Raster) -> ComplexRaster:
+def fft2_unitary(x: np.ndarray) -> np.ndarray:
     """Centered unitary 2D FFT: DC lands at index (h//2, w//2)."""
     from scipy import fft  # loaded on first use: most stages never transform
 
     _check_fft_input(x)
-    X = fft.fftshift(fft.fft2(fft.ifftshift(x.data), norm="ortho"))
-    return ComplexRaster(X, x.pitch)
+    return fft.fftshift(fft.fft2(fft.ifftshift(x), norm="ortho"))
 
 
-def ifft2_unitary(X: ComplexRaster) -> ComplexRaster:
+def ifft2_unitary(X: np.ndarray) -> np.ndarray:
     """Inverse of fft2_unitary."""
     from scipy import fft
 
     _check_fft_input(X)
-    x = fft.fftshift(fft.ifft2(fft.ifftshift(X.data), norm="ortho"))
-    return ComplexRaster(x, X.pitch)
+    return fft.fftshift(fft.ifft2(fft.ifftshift(X), norm="ortho"))
 
 
 def swap_quadrants(x: np.ndarray) -> np.ndarray:
@@ -143,7 +108,7 @@ def _check_even(*sizes: int) -> None:
             raise SizeMismatch(f"sizes must be even, got {sizes}")
 
 
-def crop_center_spectrum(X: ComplexRaster, out_h: int, out_w: int) -> ComplexRaster:
+def crop_center_spectrum(X: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Extract the centered out_h x out_w block of a spectrum.
 
     Amplitudes are scaled by sqrt(out/in pixel count) so the field implied by
@@ -156,11 +121,10 @@ def crop_center_spectrum(X: ComplexRaster, out_h: int, out_w: int) -> ComplexRas
     r0 = h // 2 - out_h // 2
     c0 = w // 2 - out_w // 2
     scale = math.sqrt((out_h * out_w) / (h * w))
-    block = X.data[r0 : r0 + out_h, c0 : c0 + out_w] * scale
-    return ComplexRaster(block, X.pitch * (h / out_h))
+    return X[r0 : r0 + out_h, c0 : c0 + out_w] * scale
 
 
-def embed_center_spectrum(X: ComplexRaster, out_h: int, out_w: int) -> ComplexRaster:
+def embed_center_spectrum(X: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Zero-pad a spectrum to out_h x out_w, centered; inverse of crop."""
     h, w = X.shape
     _check_even(h, w, out_h, out_w)
@@ -170,8 +134,8 @@ def embed_center_spectrum(X: ComplexRaster, out_h: int, out_w: int) -> ComplexRa
     r0 = out_h // 2 - h // 2
     c0 = out_w // 2 - w // 2
     scale = math.sqrt((out_h * out_w) / (h * w))
-    out[r0 : r0 + h, c0 : c0 + w] = X.data * scale
-    return ComplexRaster(out, X.pitch * (h / out_h))
+    out[r0 : r0 + h, c0 : c0 + w] = X * scale
+    return out
 
 
 def _catmull_rom(x: np.ndarray) -> np.ndarray:
@@ -199,7 +163,7 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     return W
 
 
-def resize_bicubic(x: RealRaster, out_h: int, out_w: int) -> RealRaster:
+def resize_bicubic(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Separable Catmull-Rom resampling with edge-clamped borders.
 
     Pixel centers are aligned between grids, so resizing to the same shape is
@@ -210,4 +174,4 @@ def resize_bicubic(x: RealRaster, out_h: int, out_w: int) -> RealRaster:
     h, w = x.shape
     Wr = _resize_matrix(h, out_h)
     Wc = _resize_matrix(w, out_w)
-    return RealRaster(Wr @ x.data @ Wc.T, x.pitch * (h / out_h))
+    return Wr @ x @ Wc.T

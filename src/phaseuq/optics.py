@@ -4,7 +4,12 @@ weak-phase transfer function.
 Geometry convention: LED (row, col) offsets from the centre LED map to
 lateral position (x, y) = (col_offset * pitch, -row_offset * pitch), i.e.
 x points right and y up.  Spatial frequencies are kept in array order
-(f_row, f_col), cycles per micrometre, matching raster axes.
+(f_row, f_col), cycles per micrometre, matching array axes.
+
+Fields, pupils and images are plain 2D ndarrays.  A pixel pitch (micrometres)
+is passed only where it becomes a frequency: the pupil's cutoff, the LED
+windows of the forward model and the LED shifts of the transfer function.
+The detector grid is the pupil's grid.
 
 An LED tilts the illumination by a plane wave of frequency u_led; the
 camera-plane spectrum is the object spectrum window centred at -u_led
@@ -28,7 +33,7 @@ from .errors import (
     SizeMismatch,
     ZeroBackground,
 )
-from .grid import ComplexRaster, RealRaster, fft2_unitary, freq_axis, ifft2_unitary
+from .grid import fft2_unitary, freq_axis, ifft2_unitary
 
 __all__ = [
     "IlluminationPattern",
@@ -37,25 +42,24 @@ __all__ = [
     "design_patterns",
     "make_pupil",
     "forward_leds",
-    "forward_single_led",
     "synthesize_multiplexed",
     "phase_transfer_function",
     "add_noise",
 ]
 
 
-def led_frequency(geometry: GeometryBlock, led: int) -> tuple[np.ndarray, float]:
-    """Illumination spatial frequency (f_row, f_col) in cycles/um, plus NA.
+def led_frequency(geometry: GeometryBlock, led: int) -> np.ndarray:
+    """Illumination spatial frequency (f_row, f_col) in cycles/um.
 
     Magnitude is sin(atan(r/height)) / wavelength, i.e. the illumination NA
-    over the wavelength; direction follows the LED offset from centre.
+    (``geometry.led_na``) over the wavelength; direction follows the LED
+    offset from centre.
     """
     dr, dc = geometry.offsets(led)
     r = math.hypot(dr, dc)
-    na = geometry.led_na(led)
     if r == 0.0:
-        return np.zeros(2), 0.0
-    return (na / geometry.wavelength) * np.array([dr, dc]) / r, na
+        return np.zeros(2)
+    return (geometry.led_na(led) / geometry.wavelength) * np.array([dr, dc]) / r
 
 
 def _wrapped_angle_distance(a: float, b: float) -> float:
@@ -86,21 +90,14 @@ def _sector(
 
 @dataclass(frozen=True)
 class IlluminationPattern:
-    """Weighted LED set switched on together; weights are exposure factors."""
+    """LED set switched on together, each at unit exposure."""
 
     label: str
-    leds: tuple[tuple[int, float], ...]
+    leds: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.leds) == 0:
             raise EmptyRegion(f"pattern {self.label!r} contains no LEDs")
-        for led, w in self.leds:
-            if not (w > 0 and math.isfinite(w)):
-                raise NonFiniteInput(f"pattern weight must be positive, got {w}")
-
-    @property
-    def led_indices(self) -> list[int]:
-        return [led for led, _ in self.leds]
 
 
 def design_patterns(
@@ -113,8 +110,7 @@ def design_patterns(
     point-asymmetric LED set, and their asymmetry axes sit 90 degrees apart,
     which is what the phase transfer functions need for full Fourier
     coverage.  Darkfield (na_obj < NA <= na_max): three 120-degree sectors
-    centred at 90/210/330 degrees tile the annulus exactly.  All weights
-    are 1.
+    centred at 90/210/330 degrees tile the annulus exactly.
     """
     if not (0 < na_obj < na_max):
         raise NonFiniteInput(f"need 0 < na_obj < na_max, got {na_obj}, {na_max}")
@@ -130,20 +126,22 @@ def design_patterns(
         leds = _sector(geometry, -1.0 if lo == 0.0 else lo, hi, center, width)
         if not leds:
             raise EmptyRegion(f"no LEDs available for pattern {label!r}")
-        patterns.append(IlluminationPattern(label, tuple((led, 1.0) for led in leds)))
+        patterns.append(IlluminationPattern(label, tuple(leds)))
     return patterns
 
 
 def make_pupil(
     na: float, wavelength: float, shape: tuple[int, int], pitch: float
-) -> ComplexRaster:
-    """Binary circular aperture of cutoff na / wavelength on a centered frequency grid."""
+) -> np.ndarray:
+    """Binary circular aperture of cutoff na / wavelength on a centered frequency grid.
+
+    pitch is the detector's pixel spacing; the result is complex.
+    """
     h, w = shape
     fr = freq_axis(h, pitch)[:, None]
     fc = freq_axis(w, pitch)[None, :]
     cutoff = na / wavelength
-    mask = (fr**2 + fc**2 <= cutoff**2).astype(np.complex128)
-    return ComplexRaster(mask, pitch)
+    return (fr**2 + fc**2 <= cutoff**2).astype(np.complex128)
 
 
 def _led_shift(u_led: np.ndarray, shape: tuple[int, int], pitch: float) -> tuple[int, int]:
@@ -179,59 +177,44 @@ def led_window(
 
 
 def forward_leds(
-    obj: ComplexRaster,
-    pupil: ComplexRaster,
-    u_leds: list[np.ndarray],
-    detector_shape: tuple[int, int],
-) -> list[RealRaster]:
+    obj: np.ndarray, pitch: float, pupil: np.ndarray, u_leds: list[np.ndarray]
+) -> np.ndarray:
     """Intensities recorded under tilted plane waves, one per frequency in u_leds.
 
+    obj is the complex object on a grid of the given pixel pitch; the
+    images, an (L, h, w) stack, lie on the pupil's (h, w) detector grid.
     The object is transformed once. For each LED its spectrum window
     centred at -u_led (nearest grid bin) is multiplied by the pupil and
     inverse-transformed on the detector grid; the window carries the crop
     amplitude scale so a flat unit object maps to unit intensity.
     """
     H, W = obj.shape
-    h, w = detector_shape
-    if pupil.shape != (h, w):
-        raise SizeMismatch(f"pupil grid {pupil.shape} != detector {detector_shape}")
+    h, w = pupil.shape
     if h < 2 or w < 2 or H % h != 0 or W % w != 0:
-        raise SizeMismatch(f"detector {detector_shape} must divide object grid {obj.shape}")
-    spectrum = fft2_unitary(obj).data
+        raise SizeMismatch(f"detector {pupil.shape} must divide object grid {obj.shape}")
+    spectrum = fft2_unitary(obj)
     scale = math.sqrt((h * w) / (H * W))
-    images = []
-    for u in u_leds:
-        r0, c0 = led_window(u, obj.shape, obj.pitch, detector_shape)
+    images = np.empty((len(u_leds), h, w))
+    for i, u in enumerate(u_leds):
+        r0, c0 = led_window(u, obj.shape, pitch, (h, w))
         window = spectrum[r0 : r0 + h, c0 : c0 + w] * scale
-        field = ifft2_unitary(ComplexRaster(window * pupil.data, obj.pitch * (H / h)))
-        images.append(RealRaster(np.abs(field.data) ** 2, field.pitch))
+        images[i] = np.abs(ifft2_unitary(window * pupil)) ** 2
     return images
 
 
-def forward_single_led(
-    obj: ComplexRaster,
-    pupil: ComplexRaster,
-    u_led: np.ndarray,
-    detector_shape: tuple[int, int],
-) -> RealRaster:
-    """Intensity recorded under one tilted plane-wave illumination."""
-    return forward_leds(obj, pupil, [u_led], detector_shape)[0]
-
-
 def synthesize_multiplexed(
-    obj: ComplexRaster,
-    pupil: ComplexRaster,
+    obj: np.ndarray,
+    pitch: float,
+    pupil: np.ndarray,
     pattern: IlluminationPattern,
     geometry: GeometryBlock,
-    detector_shape: tuple[int, int],
-) -> RealRaster:
-    """Incoherent weighted sum of single-LED intensities for one pattern."""
-    u_leds = [led_frequency(geometry, led)[0] for led in pattern.led_indices]
-    images = forward_leds(obj, pupil, u_leds, detector_shape)
-    total = np.zeros(detector_shape)
-    for (_, weight), img in zip(pattern.leds, images):
-        total += weight * img.data
-    return RealRaster(total, images[-1].pitch)
+) -> np.ndarray:
+    """Incoherent sum of the single-LED intensities of one pattern."""
+    u_leds = [led_frequency(geometry, led) for led in pattern.leds]
+    total = np.zeros(pupil.shape)
+    for img in forward_leds(obj, pitch, pupil, u_leds):
+        total += img
+    return total
 
 
 def _reflect_center(a: np.ndarray) -> np.ndarray:
@@ -241,46 +224,47 @@ def _reflect_center(a: np.ndarray) -> np.ndarray:
 
 def phase_transfer_function(
     pattern: IlluminationPattern,
-    pupil: ComplexRaster,
+    pupil: np.ndarray,
+    pitch: float,
     geometry: GeometryBlock,
-) -> ComplexRaster:
-    """Weak-phase transfer function of a weighted LED pattern.
+) -> np.ndarray:
+    """Weak-phase transfer function of an LED pattern on the pupil's grid.
 
-    H(u) = i [C(u) - C*(-u)] / B with C(u) = sum_j w_j P*(u_j) P(u_j + u)
-    and B = sum_j w_j |P(u_j)|^2.  Purely imaginary and odd for a real
-    pupil; identically zero for point-symmetric patterns.
+    H(u) = i [C(u) - C*(-u)] / B with C(u) = sum_j P*(u_j) P(u_j + u)
+    and B = sum_j |P(u_j)|^2, where pitch is the detector's pixel spacing.
+    Purely imaginary and odd for a real pupil; identically zero for
+    point-symmetric patterns.
     """
-    P = pupil.data
+    P = pupil
     h, w = P.shape
     C = np.zeros_like(P)
     B = 0.0
-    for led, weight in pattern.leds:
-        s_r, s_c = _led_shift(led_frequency(geometry, led)[0], (h, w), pupil.pitch)
+    for led in pattern.leds:
+        s_r, s_c = _led_shift(led_frequency(geometry, led), (h, w), pitch)
         r_i, c_i = h // 2 + s_r, w // 2 + s_c
         # an LED beyond the sampled frequency grid is outside the pupil
         if not (0 <= r_i < h and 0 <= c_i < w):
             continue
         p_j = P[r_i, c_i]
-        B += weight * abs(p_j) ** 2
+        B += abs(p_j) ** 2
         if p_j != 0.0:
             # roll so sample k reads P(u_j + u_k)
-            C += weight * np.conj(p_j) * np.roll(P, (-s_r, -s_c), axis=(0, 1))
+            C += np.conj(p_j) * np.roll(P, (-s_r, -s_c), axis=(0, 1))
     if B == 0.0:
         raise ZeroBackground(f"pattern {pattern.label!r} passes no light through the pupil")
-    Htf = 1j * (C - _reflect_center(np.conj(C))) / B
-    return ComplexRaster(Htf, pupil.pitch)
+    return 1j * (C - _reflect_center(np.conj(C))) / B
 
 
-def add_noise(img: RealRaster, model: tuple[str, float], seed: int) -> RealRaster:
+def add_noise(img: np.ndarray, model: tuple[str, float], seed: int) -> np.ndarray:
     """Measurement noise: ("gaussian", sigma) or ("poisson", photons_per_unit)."""
     kind, level = model
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
-        return RealRaster(img.data + level * rng.standard_normal(img.shape), img.pitch)
+        return img + level * rng.standard_normal(img.shape)
     if kind == "poisson":
-        if np.any(img.data < 0):
+        if np.any(img < 0):
             raise NegativeIntensity("poisson noise needs a non-negative image")
         if not level > 0:
             raise NonFiniteInput(f"photon count must be positive, got {level}")
-        return RealRaster(rng.poisson(img.data * level) / level, img.pitch)
+        return rng.poisson(img * level) / level
     raise NonFiniteInput(f"unknown noise model {kind!r}")

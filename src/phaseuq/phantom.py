@@ -1,11 +1,13 @@
-"""Synthetic ground-truth phase objects for closed-loop experiments."""
+"""Synthetic ground-truth phase objects for closed-loop experiments.
+
+Each phantom is a plain 2D float array in pixel units, with no pixel pitch.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import NonFiniteInput
-from .grid import RealRaster
 
 
 def gaussian_bumps(
@@ -14,10 +16,9 @@ def gaussian_bumps(
     amplitude_lo: float,
     amplitude_hi: float,
     seed: int,
-    pitch: float = 1.0,
     sigma_range: tuple[float, float] | None = None,
     margin: float = 0.15,
-) -> RealRaster:
+) -> np.ndarray:
     """Smooth positive bump mixture with a drawn peak amplitude.
 
     The bump sum is normalized to unit peak and rescaled by one draw
@@ -49,15 +50,14 @@ def gaussian_bumps(
     peak = field.max()
     if peak > 0.0:
         field *= amplitude / peak
-    return RealRaster(field, pitch)
+    return field
 
 
 def resolution_target(
     shape: tuple[int, int],
     amplitude: float,
-    pitch: float = 1.0,
     spokes: int = 16,
-) -> RealRaster:
+) -> np.ndarray:
     """Siemens-star phase target: spatial frequency grows toward center.
 
     Spoke modulation amplitude/2 * (1 + cos(spokes * theta)) inside a
@@ -79,4 +79,4 @@ def resolution_target(
     # local azimuthal period in px is 2 pi r / spokes; blank below ~2 px
     inner = spokes / np.pi
     core = np.clip((r - inner) / 2.0, 0.0, 1.0)
-    return RealRaster(amplitude * star * taper * core, pitch)
+    return amplitude * star * taper * core

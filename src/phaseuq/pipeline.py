@@ -40,9 +40,10 @@ from .errors import (
     ShapeMismatch,
     ZeroMeanImage,
 )
-from .grid import ComplexRaster, RealRaster, resize_bicubic
+from .grid import RealRaster, resize_bicubic
 from .learner import (
     ARCH_ID,
+    CHANNELS,
     Dataset,
     PredictiveEnsemble,
     PredictiveMap,
@@ -133,11 +134,15 @@ def _required(info: dict[str, str], key: str, source, parse):
         raise FormatError(f"{source}: {key!r} is missing or not a number") from None
 
 
-def _load(run_dir, name: str) -> tuple[np.ndarray, dict[str, str]]:
+def _load(run_dir, name: str, *, ndim=None, count=None) -> tuple[np.ndarray, dict[str, str]]:
+    """A tensor and its metadata rows; ndim and count, if given, fix its rank and length."""
     path = Path(run_dir) / name
     if not path.is_file():
         raise MissingArtifact(f"{path} not found")
     array, meta = read_tensor(path)
+    if ndim is not None and (array.ndim != ndim or count not in (None, array.shape[0])):
+        length = "" if count is None else f" of {count} images"
+        raise FormatError(f"{path}: expected a rank-{ndim} tensor{length}, got {array.shape}")
     return array, _parse_lines(meta)
 
 
@@ -238,27 +243,25 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
     shape_det = (opt.n_detector, opt.n_detector)
 
     if ph.kind == "gaussian-bumps":
-        phi = gaussian_bumps(
-            shape_hi, ph.count, ph.amplitude_lo, ph.amplitude_hi, ph.seed, pitch=hp
-        )
+        phi = gaussian_bumps(shape_hi, ph.count, ph.amplitude_lo, ph.amplitude_hi, ph.seed)
     else:
-        phi = resolution_target(shape_hi, ph.amplitude_hi, pitch=hp)
+        phi = resolution_target(shape_hi, ph.amplitude_hi)
     # preprocess estimates the noise on this mask; refuse it before any image is formed
     threshold = cfg.analysis.background_threshold
-    background = int(np.count_nonzero(normalize_unit(phi.data)[0] <= threshold))
+    background = int(np.count_nonzero(normalize_unit(phi)[0] <= threshold))
     if background < MIN_BACKGROUND_PIXELS:
         raise MaskTooSmall(
             f"analysis.background_threshold {threshold} selects {background} "
             f"background pixels of the phantom, need >= {MIN_BACKGROUND_PIXELS}"
         )
-    obj = ComplexRaster(np.exp(1j * phi.data), hp)
+    obj = np.exp(1j * phi)
     pupil = make_pupil(opt.na_obj, geom.wavelength, shape_det, opt.pitch_detector)
 
     noisy = cfg.noise.model != "none"
     model = (cfg.noise.model, cfg.noise.level)
     leds = [led for led in range(geom.n_leds) if geom.led_na(led) <= opt.na_max + 1e-12]
     # one object transform for the whole stack; noisy images replace clean ones in place
-    stack = forward_leds(obj, pupil, [led_frequency(geom, led)[0] for led in leds], shape_det)
+    stack = forward_leds(obj, hp, pupil, [led_frequency(geom, led) for led in leds])
     if noisy:
         for i, led in enumerate(leds):
             stack[i] = add_noise(stack[i], model, cfg.noise.seed + led)
@@ -266,17 +269,17 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
     patterns = design_patterns(geom, opt.na_obj, opt.na_max)
     mux = []
     for i, pattern in enumerate(patterns):
-        img = synthesize_multiplexed(obj, pupil, pattern, geom, shape_det)
+        img = synthesize_multiplexed(obj, hp, pupil, pattern, geom)
         if noisy:
             img = add_noise(img, model, cfg.noise.seed + 100000 + i)
-        mux.append(img.data)
+        mux.append(img)
 
     seeds = {"phantom": ph.seed, "noise": cfg.noise.seed}
     with _run(out_root, "simulate", cfg, seeds=seeds, export_pgm=export_pgm) as run:
-        run.save("phantom_phase.puqt", phi.data, [("pitch", hp), ("kind", ph.kind)], preview=True)
+        run.save("phantom_phase.puqt", phi, [("pitch", hp), ("kind", ph.kind)], preview=True)
         run.save(
             "led_stack.puqt",
-            np.stack([img.data for img in stack]),
+            stack,
             [("pitch", opt.pitch_detector), ("leds", " ".join(str(led) for led in leds))],
         )
         run.save(
@@ -291,18 +294,19 @@ def sfpm_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: boo
     """Iterative synthetic-aperture phase retrieval from the LED stack."""
     geom = _require(cfg.geometry, "geometry")
     opt = _require(cfg.optics, "optics")
-    arr, info = _load(simulate_dir, "led_stack.puqt")
+    arr, info = _load(simulate_dir, "led_stack.puqt", ndim=3)
     source = Path(simulate_dir) / "led_stack.puqt"
     leds = _required(info, "leds", source, lambda text: [int(tok) for tok in text.split()])
     if len(leds) != arr.shape[0]:
         raise FormatError(
             f"led_stack metadata lists {len(leds)} LEDs for {arr.shape[0]} images"
         )
-    images = {led: RealRaster(arr[i], opt.pitch_detector) for i, led in enumerate(leds)}
-    stack = MeasurementStack(images, geom, opt.na_obj)
+    if len(set(leds)) != len(leds):
+        raise FormatError(f"{source}: 'leds' names an LED more than once")
+    stack = MeasurementStack(dict(zip(leds, arr)), geom, opt.na_obj, opt.pitch_detector)
     residuals: list[float] = []
     field = sfpm_reconstruct(stack, cfg.sfpm, (opt.n_hires, opt.n_hires), residuals)
-    phase = np.angle(field.data)
+    phase = np.angle(field)
 
     with _run(out_root, "sfpm", cfg, {"simulate": simulate_dir}, export_pgm=export_pgm) as run:
         meta = [("pitch", _hires_pitch(cfg)), ("method", "sfpm")]
@@ -315,18 +319,17 @@ def dpc_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: bool
     """One-shot weak-phase reconstruction from the brightfield patterns."""
     geom = _require(cfg.geometry, "geometry")
     opt = _require(cfg.optics, "optics")
-    arr, info = _load(simulate_dir, "multiplexed.puqt")
     patterns = design_patterns(geom, opt.na_obj, opt.na_max)
+    arr, info = _load(simulate_dir, "multiplexed.puqt", ndim=3, count=len(patterns))
     labels = info.get("patterns", "").split()
     if labels != [p.label for p in patterns]:
         raise FormatError("multiplexed stack does not match the configured pattern set")
-    bf = [RealRaster(arr[i], opt.pitch_detector) for i in range(2)]
     pupil = make_pupil(opt.na_obj, geom.wavelength, arr.shape[1:], opt.pitch_detector)
-    phase = dpc_reconstruct(bf, patterns[:2], pupil, geom)
+    phase = dpc_reconstruct(arr[:2], patterns[:2], pupil, opt.pitch_detector, geom)
 
     with _run(out_root, "dpc", cfg, {"simulate": simulate_dir}, export_pgm=export_pgm) as run:
         meta = [("pitch", opt.pitch_detector), ("method", "dpc")]
-        run.save("phase.puqt", phase.data, meta, preview=True)
+        run.save("phase.puqt", phase, meta, preview=True)
     return run.path
 
 
@@ -341,23 +344,22 @@ def preprocess_stage(
     phi, _ = _load(simulate_dir, "phantom_phase.puqt")
     truth_norm, scale, offset = normalize_unit(phi)
 
-    recon, _ = _load(recon_dir, "phase.puqt")
+    recon, _ = _load(recon_dir, "phase.puqt", ndim=2)
     if recon.shape != (n, n):
-        recon = resize_bicubic(RealRaster(recon, 1.0), n, n).data
+        recon = resize_bicubic(recon, n, n)
     # global phase offsets cancel inside the noise estimate, the scale must match
     recon_norm = (recon - offset) / scale
 
     mask = truth_norm <= cfg.analysis.background_threshold
     sigma_background, pixel_count = estimate_noise(recon_norm, mask)
 
-    mux, _ = _load(simulate_dir, "multiplexed.puqt")
+    mux, _ = _load(simulate_dir, "multiplexed.puqt", ndim=3, count=CHANNELS[0])
     channels = []
     for i in range(mux.shape[0]):
         mean = float(mux[i].mean())
         if mean <= 0.0:
             raise ZeroMeanImage(f"multiplexed channel {i} has non-positive mean")
-        contrast = RealRaster(mux[i] / mean - 1.0, opt.pitch_detector)
-        channels.append(resize_bicubic(contrast, n, n).data)
+        channels.append(resize_bicubic(mux[i] / mean - 1.0, n, n))
     inputs = np.stack(channels)
 
     positions = PatchGrid(cfg.train.patch, cfg.train.stride, n).positions()
@@ -491,8 +493,8 @@ def analyze_stage(
     # into one tall mosaic and unfolded again for the output tensors
     members = tuple(
         PredictiveMap(
-            RealRaster(mu[p].reshape(n_patches * h, w), 1.0),
-            RealRaster(np.log(sigma[p]).reshape(n_patches * h, w), 1.0),
+            RealRaster(mu[p].reshape(n_patches * h, w)),
+            RealRaster(np.log(sigma[p]).reshape(n_patches * h, w)),
         )
         for p in range(n_members)
     )

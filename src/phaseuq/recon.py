@@ -6,6 +6,11 @@ and share its spectrum-window convention (window centred at -u_led, the
 unscattered beam crossing the pupil at +u_led).  The SFPM LED loop keeps that
 convention at its boundary but runs in the FFT's own unshifted layout, calling
 scipy.fft directly, which is loaded on the first reconstruction.
+
+Images, pupils and fields are plain 2D ndarrays.  The detector pixel pitch
+travels as a float: in ``MeasurementStack`` for sfpm, whose pupil and LED
+windows need it, and as an argument of ``dpc_reconstruct`` for its transfer
+functions.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ from .errors import (
     ZeroMeanImage,
 )
 from .grid import (
-    ComplexRaster,
-    RealRaster,
     embed_center_spectrum,
     fft2_unitary,
     ifft2_unitary,
@@ -49,27 +52,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurementStack:
-    """Single-LED intensity images keyed by LED index."""
+    """Single-LED intensity images keyed by LED index, on a detector of the given pitch."""
 
-    images: dict[int, RealRaster]
+    images: dict[int, np.ndarray]
     geometry: GeometryBlock
     na_obj: float
+    pitch: float
 
     def __post_init__(self):
         if not self.images:
             raise SizeMismatch("measurement stack is empty")
         shapes = {img.shape for img in self.images.values()}
-        pitches = {img.pitch for img in self.images.values()}
-        if len(shapes) != 1 or len(pitches) != 1:
-            raise SizeMismatch("stack images must share shape and pitch")
-
-    @property
-    def detector_shape(self) -> tuple[int, int]:
-        return next(iter(self.images.values())).shape
-
-    @property
-    def detector_pitch(self) -> float:
-        return next(iter(self.images.values())).pitch
+        if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+            raise SizeMismatch(f"stack images must share one 2D shape, got {sorted(shapes)}")
 
 
 def subtract_mean_phase(phase: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -83,8 +78,8 @@ def sfpm_reconstruct(
     cfg: SfpmConfig,
     hires_shape: tuple[int, int],
     residuals: list[float] | None = None,
-) -> ComplexRaster:
-    """Sequential synthetic-aperture phase retrieval.
+) -> np.ndarray:
+    """Sequential synthetic-aperture phase retrieval; returns the complex field.
 
     Per epoch, LEDs are visited in ascending illumination NA.  The spectrum
     window for LED j is propagated to the camera plane, its magnitude is
@@ -103,20 +98,19 @@ def sfpm_reconstruct(
     from scipy import fft
 
     g = stack.geometry
-    n_r, n_c = stack.detector_shape
+    n_r, n_c = next(iter(stack.images.values())).shape
     N_r, N_c = hires_shape
-    na_illum = {led: led_frequency(g, led)[1] for led in stack.images}
+    na_illum = {led: g.led_na(led) for led in stack.images}
     na_illum_max = max(na_illum.values())
     needed = math.ceil((stack.na_obj + na_illum_max) / stack.na_obj)
     if N_r % n_r or N_c % n_c or N_r // n_r != N_c // n_c or N_r // n_r < needed:
         raise InsufficientGrid(
-            f"hires {hires_shape} over detector {stack.detector_shape} must be an "
+            f"hires {hires_shape} over detector {(n_r, n_c)} must be an "
             f"integer factor >= {needed}"
         )
 
-    det_pitch = stack.detector_pitch
-    hi_pitch = det_pitch * n_r / N_r
-    P = make_pupil(stack.na_obj, g.wavelength, (n_r, n_c), det_pitch).data
+    hi_pitch = stack.pitch * n_r / N_r
+    P = make_pupil(stack.na_obj, g.wavelength, (n_r, n_c), stack.pitch)
     amp_scale = math.sqrt((n_r * n_c) / (N_r * N_c))
     # Psi = amp_scale * W * P, and W += step * conj(P) / max|P|^2 * dPsi / amp_scale
     p_scaled = swap_quadrants(amp_scale * P)
@@ -125,19 +119,18 @@ def sfpm_reconstruct(
     order = sorted(stack.images, key=lambda led: (na_illum[led], led))
 
     if cfg.init == "flat":
-        O = fft2_unitary(ComplexRaster(np.ones((N_r, N_c), dtype=complex), hi_pitch)).data
+        O = fft2_unitary(np.ones((N_r, N_c), dtype=complex))
     else:
         on_axis = min(order, key=lambda led: (na_illum[led], led))
-        amp = np.sqrt(np.maximum(stack.images[on_axis].data, 0.0))
-        small = fft2_unitary(ComplexRaster(amp.astype(complex), det_pitch))
-        O = embed_center_spectrum(small, N_r, N_c).data.copy()
+        amp = np.sqrt(np.maximum(stack.images[on_axis], 0.0))
+        O = embed_center_spectrum(fft2_unitary(amp.astype(complex)), N_r, N_c)
 
     sqrt_meas = {
-        led: swap_quadrants(np.sqrt(np.maximum(stack.images[led].data, 0.0)))
+        led: swap_quadrants(np.sqrt(np.maximum(stack.images[led], 0.0)))
         for led in order
     }
     windows = {
-        led: led_window(led_frequency(g, led)[0], hires_shape, hi_pitch, (n_r, n_c))
+        led: led_window(led_frequency(g, led), hires_shape, hi_pitch, (n_r, n_c))
         for led in order
     }
 
@@ -167,15 +160,14 @@ def sfpm_reconstruct(
         if residuals is not None:
             residuals.append(misfit)
 
-    field = ifft2_unitary(ComplexRaster(O, hi_pitch))
-    return ComplexRaster(field.data, hi_pitch)
+    return ifft2_unitary(O)
 
 
 def dpc_deconvolve(
-    normalized: list[RealRaster],
-    transfer: list[ComplexRaster],
+    normalized: list[np.ndarray],
+    transfer: list[np.ndarray],
     beta: float = 0.1,
-) -> RealRaster:
+) -> np.ndarray:
     """Tikhonov-regularized linear inversion of mean-normalized intensities.
 
     Transfer functions are rescaled to unit peak magnitude (with the matching
@@ -190,32 +182,35 @@ def dpc_deconvolve(
     for img, tf in zip(normalized, transfer):
         if img.shape != shape or tf.shape != shape:
             raise SizeMismatch("images and transfer functions must share one grid")
-        peak = np.max(np.abs(tf.data))
+        peak = np.max(np.abs(tf))
         scale = peak if peak > 0 else 1.0
-        Ht = tf.data / scale
-        spectrum = fft2_unitary(img).data / scale
+        Ht = tf / scale
+        spectrum = fft2_unitary(img) / scale
         num += np.conj(Ht) * spectrum
         den += np.abs(Ht) ** 2
-    phase = ifft2_unitary(ComplexRaster(num / den, normalized[0].pitch))
-    return RealRaster(phase.data.real, normalized[0].pitch)
+    return ifft2_unitary(num / den).real
 
 
 def dpc_reconstruct(
-    bf_images: list[RealRaster],
+    bf_images: list[np.ndarray],
     patterns: list[IlluminationPattern],
-    pupil: ComplexRaster,
+    pupil: np.ndarray,
+    pitch: float,
     geometry: GeometryBlock,
     tikhonov_beta: float = 0.1,
-) -> RealRaster:
-    """One-shot weak-phase reconstruction from brightfield pattern images."""
-    if len(bf_images) != len(patterns) or not bf_images:
+) -> np.ndarray:
+    """One-shot weak-phase reconstruction from brightfield pattern images.
+
+    The images lie on the pupil's grid, whose pixel spacing is pitch.
+    """
+    if len(bf_images) != len(patterns) or len(bf_images) == 0:
         raise SizeMismatch("need one pattern per brightfield image")
     normalized = []
     transfer = []
     for img, pat in zip(bf_images, patterns):
-        mean = float(img.data.mean())
+        mean = float(img.mean())
         if mean <= 0.0:
             raise ZeroMeanImage(f"image for pattern {pat.label!r} has non-positive mean")
-        normalized.append(RealRaster((img.data - mean) / mean, img.pitch))
-        transfer.append(phase_transfer_function(pat, pupil, geometry))
+        normalized.append((img - mean) / mean)
+        transfer.append(phase_transfer_function(pat, pupil, pitch, geometry))
     return dpc_deconvolve(normalized, transfer, tikhonov_beta)

@@ -22,7 +22,7 @@ from conftest import (
 from phaseuq import pipeline
 from phaseuq.cli import DEMO_CONFIG
 from phaseuq.config import GeometryBlock, SfpmConfig, TrainConfig, parse_config
-from phaseuq.grid import ComplexRaster, RealRaster, crop_center_spectrum, fft2_unitary, ifft2_unitary
+from phaseuq.grid import RealRaster, crop_center_spectrum, fft2_unitary, ifft2_unitary
 from phaseuq.learner import (
     PredictiveEnsemble,
     PredictiveMap,
@@ -39,7 +39,7 @@ from phaseuq.learner import _forward_cols
 from phaseuq.optics import (
     IlluminationPattern,
     design_patterns,
-    forward_single_led,
+    forward_leds,
     led_frequency,
     make_pupil,
     phase_transfer_function,
@@ -97,15 +97,13 @@ def test_01_synthetic_aperture_closure():
     g = GeometryBlock(11, 11, 2.0, 60.0, LAM, 5, 5)
     assert g.n_leds >= 100
     phi = bump_field(256, seed=1, amplitude=1.0)
-    obj = ComplexRaster(np.exp(1j * phi), 0.5)
+    obj = np.exp(1j * phi)
     pupil = make_pupil(NA_OBJ, LAM, (64, 64), 2.0)
-    images = {
-        led: forward_single_led(obj, pupil, led_frequency(g, led)[0], (64, 64))
-        for led in range(g.n_leds)
-    }
-    stack = MeasurementStack(images, g, NA_OBJ)
+    leds = range(g.n_leds)
+    images = forward_leds(obj, 0.5, pupil, [led_frequency(g, led) for led in leds])
+    stack = MeasurementStack(dict(zip(leds, images)), g, NA_OBJ, 2.0)
     rec = sfpm_reconstruct(stack, SfpmConfig(epochs=50), (256, 256))
-    rmse = float(np.sqrt(np.mean(subtract_mean_phase(np.angle(rec.data) - phi) ** 2)))
+    rmse = float(np.sqrt(np.mean(subtract_mean_phase(np.angle(rec) - phi) ** 2)))
     elapsed = time.time() - t0
     report(1, f"closure rmse {rmse:.3e} rad, {g.n_leds} LEDs, {elapsed:.1f}s")
     assert rmse < 0.01
@@ -123,25 +121,25 @@ def test_02_dpc_accuracy_and_symmetry_null():
     patterns = design_patterns(g, NA_OBJ, g.max_na())[:2]
 
     phi = signed_bumps(256, seed=0)
-    obj = ComplexRaster(np.exp(1j * phi), 0.5)
-    imgs = [synthesize_multiplexed(obj, pupil, p, g, (64, 64)) for p in patterns]
-    rec = dpc_reconstruct(imgs, patterns, pupil, g)
+    obj = np.exp(1j * phi)
+    imgs = [synthesize_multiplexed(obj, 0.5, pupil, p, g) for p in patterns]
+    rec = dpc_reconstruct(imgs, patterns, pupil, 2.0, g)
 
     # reference: the phantom band-limited to the 2 NA_obj transfer support
-    spec = crop_center_spectrum(fft2_unitary(RealRaster(phi, 0.5)), 64, 64)
+    spec = crop_center_spectrum(fft2_unitary(phi), 64, 64)
     fr = (np.arange(64) - 32)[:, None]
     fc = (np.arange(64) - 32)[None, :]
     band = fr**2 + fc**2 <= ((2 * NA_OBJ / LAM) * 64 * 2.0) ** 2
-    ref = ifft2_unitary(ComplexRaster(spec.data * band, 2.0)).data.real
-    err = subtract_mean_phase(rec.data) - subtract_mean_phase(ref)
+    ref = ifft2_unitary(spec * band).real
+    err = subtract_mean_phase(rec) - subtract_mean_phase(ref)
     rmse = float(np.sqrt(np.mean(err**2)))
     span = float(ref.max() - ref.min())
 
     symmetric = IlluminationPattern(
         "bf-full",
-        tuple((led, 1.0) for led in range(g.n_leds) if g.led_na(led) <= NA_OBJ),
+        tuple(led for led in range(g.n_leds) if g.led_na(led) <= NA_OBJ),
     )
-    h_null = float(np.max(np.abs(phase_transfer_function(symmetric, pupil, g).data)))
+    h_null = float(np.max(np.abs(phase_transfer_function(symmetric, pupil, 2.0, g))))
 
     elapsed = time.time() - t0
     report(2, f"in-band rmse {rmse:.4f} of span {span:.4f}, "
@@ -165,10 +163,10 @@ def test_03_pattern_design_counts_and_coverage():
     assert len(patterns) == 5 and len(bf) == 2 and len(df) == 3
 
     for p in bf:
-        assert all(g.led_na(led) <= NA_OBJ for led in p.led_indices)
+        assert all(g.led_na(led) <= NA_OBJ for led in p.leds)
     for p in df:
-        assert all(NA_OBJ < g.led_na(led) <= na_max for led in p.led_indices)
-    covered = set().union(*(set(p.led_indices) for p in patterns))
+        assert all(NA_OBJ < g.led_na(led) <= na_max for led in p.leds)
+    covered = set().union(*(set(p.leds) for p in patterns))
     admissible = {led for led in range(g.n_leds) if g.led_na(led) <= na_max}
     assert covered == admissible
 

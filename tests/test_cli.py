@@ -630,6 +630,53 @@ def test_cli_non_integer_led_is_one_error_line(chain, tmp_path, capsys):
     assert rc == 1 and "led_stack.puqt" in err and "leds" in err
 
 
+def test_cli_repeated_led_is_one_error_line(chain, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    shutil.copytree(chain["simulate"], sim)
+    stack, meta = read_tensor(sim / "led_stack.puqt")
+    lines = meta.splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("leds "))
+    leds = lines[k].split()[1:]
+    lines[k] = " ".join(["leds", leds[0], leds[0]] + leds[2:])
+    write_tensor(sim / "led_stack.puqt", stack, "\n".join(lines))
+    rc = _run_stage(tmp_path, "sfpm", simulate_dir=sim)
+    err = _one_error_line(capsys, "FormatError")
+    assert rc == 1 and "led_stack.puqt" in err and "leds" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "command, source, name, change",
+    [
+        ("sfpm", "simulate", "led_stack.puqt", lambda a: a[:, None]),
+        ("preprocess", "sfpm", "phase.puqt", lambda a: a[None]),
+        ("preprocess", "simulate", "multiplexed.puqt", lambda a: a[0]),
+        ("preprocess", "simulate", "multiplexed.puqt", lambda a: a[:1]),
+        ("dpc", "simulate", "multiplexed.puqt", lambda a: a[:1]),
+    ],
+    ids=[
+        "sfpm-rank4-led-stack",
+        "preprocess-rank3-phase",
+        "preprocess-rank2-multiplexed",
+        "preprocess-one-multiplexed-image",
+        "dpc-one-multiplexed-image",
+    ],
+)
+def test_cli_malformed_input_tensor_is_one_error_line(
+    chain, tmp_path, capsys, command, source, name, change
+):
+    copy = tmp_path / source
+    shutil.copytree(chain[source], copy)
+    arr, meta = read_tensor(copy / name)
+    write_tensor(copy / name, change(arr), meta)
+    dirs = {"simulate_dir": chain["simulate"], "recon_dir": chain["sfpm"]}
+    dirs["recon_dir" if source == "sfpm" else "simulate_dir"] = copy
+    rc = _run_stage(tmp_path, command, **dirs)
+    err = _one_error_line(capsys, "FormatError")
+    assert rc == 1 and name in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_zero_sigma_is_one_error_line(chain, tmp_path, capsys):
     prd = tmp_path / "prd"
     shutil.copytree(chain["predict"], prd)

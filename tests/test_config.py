@@ -351,15 +351,15 @@ def test_bumps_deterministic_and_bounded():
     a = gaussian_bumps((64, 64), 6, 0.5, 1.0, seed=3)
     b = gaussian_bumps((64, 64), 6, 0.5, 1.0, seed=3)
     c = gaussian_bumps((64, 64), 6, 0.5, 1.0, seed=4)
-    np.testing.assert_array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
-    assert a.data.min() >= 0.0
-    assert 0.5 <= a.data.max() <= 1.0
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.min() >= 0.0
+    assert 0.5 <= a.max() <= 1.0
 
 
 def test_bumps_peak_hits_drawn_amplitude():
     a = gaussian_bumps((64, 64), 4, 0.7, 0.7, seed=9)
-    assert a.data.max() == pytest.approx(0.7, abs=1e-12)
+    assert a.max() == pytest.approx(0.7, abs=1e-12)
 
 
 def test_bumps_validation():
@@ -371,12 +371,12 @@ def test_bumps_validation():
 
 def test_resolution_target_shape():
     r = resolution_target((128, 128), 0.9)
-    assert r.data.max() == pytest.approx(0.9, abs=1e-12)
-    assert r.data.min() >= 0.0
+    assert r.max() == pytest.approx(0.9, abs=1e-12)
+    assert r.min() >= 0.0
     # star pattern must vary along a ring inside the rim
     yy, xx = np.mgrid[0:128, 0:128] - 63.5
     rad = np.hypot(yy, xx)
-    ring = r.data[(rad > 40) & (rad < 44)]
+    ring = r[(rad > 40) & (rad < 44)]
     assert ring.max() > 0.8 * 0.9 and ring.min() < 0.1 * 0.9
 
 

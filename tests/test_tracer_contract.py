@@ -1,0 +1,73 @@
+"""The benchmark's tracer still sees the calls it counts.
+
+perfbench/tracer.py wraps phaseuq functions by module attribute and counts
+their work from their arguments, so a renamed function or a changed
+signature silently zeroes a benchmark figure. This runs the tracer on a
+small demo and checks its counts against the run tree.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from phaseuq.cli import DEMO_CONFIG
+from phaseuq.tensorfile import read_tensor
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+DEMO_STAGES = ("simulate", "sfpm", "preprocess", "train", "predict", "analyze", "stitch")
+SFPM_EPOCHS, MEMBERS = 2, 2
+
+
+def _small_demo_config() -> str:
+    text = DEMO_CONFIG
+    for old, new in [
+        ("epochs 30", f"epochs {SFPM_EPOCHS}"),
+        ("epochs 120", "epochs 1"),
+        ("ensemble_size 4", f"ensemble_size {MEMBERS}"),
+    ]:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+def test_tracer_counts_match_the_run_tree(tmp_path):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(_small_demo_config(), encoding="utf-8")
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    cmd = [sys.executable, str(TRACER), str(spans_path), "demo", "--config", str(cfg)]
+    proc = subprocess.run(
+        cmd + ["--out", str(tmp_path / "out")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    # one training epoch rarely passes the credibility gate; a gate failure still commits the run
+    assert proc.returncode == 0 or "code=DemoGateFailure" in proc.stderr, proc.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    tree = tmp_path / "out" / "demo-001"
+
+    missing = [s for s in DEMO_STAGES if spans.get(f"pipeline.{s}_stage", {}).get("calls") != 1]
+    assert not missing, f"stage spans missing: {missing}"
+
+    positions, _ = read_tensor(next(tree.glob("preprocess-*")) / "patches_positions.puqt")
+    _, meta = read_tensor(next(tree.glob("simulate-*")) / "led_stack.puqt")
+    n_leds = len(next(line for line in meta.splitlines() if line.startswith("leds ")).split()) - 1
+    n_patches = positions.shape[0]
+    assert (n_patches, n_leds) == (121, 81)
+
+    def count(key, field):
+        return spans.get(key, {}).get(field, 0)
+
+    assert count("learner.forward", "calls") == MEMBERS * n_patches == 242
+    assert count("recon.sfpm_reconstruct", "work") == SFPM_EPOCHS * n_leds == 162
+    pixels = n_patches * 16 * 16
+    assert count("uqstats.decompose_uncertainty", "work") == MEMBERS * pixels == 61_952

@@ -26,10 +26,10 @@ from phaseuq.uqstats import (
 )
 
 
-def mk_map(mu, sigma, pitch=1.0):
+def mk_map(mu, sigma):
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    return PredictiveMap(RealRaster(mu, pitch), RealRaster(np.log(sigma), pitch))
+    return PredictiveMap(RealRaster(mu), RealRaster(np.log(sigma)))
 
 
 def mk_ensemble(members):
