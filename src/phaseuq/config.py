@@ -14,8 +14,8 @@ keys are errors, as are duplicates: silent misconfiguration is worse than
 a loud one.
 
 Each block is one frozen dataclass, and the library takes these as they
-are (``GeometryBlock`` as the LED array, ``TrainConfig`` for training,
-``SfpmConfig`` for the sfpm solver).
+are (``GeometryBlock`` as the LED array, ``NoiseBlock`` for measurement
+noise, ``TrainConfig`` for training, ``SfpmConfig`` for the sfpm solver).
 Every block checks its ranges in ``__post_init__``, so a bad value raises
 ConfigError when the config is parsed, or when a block is rebuilt with
 ``dataclasses.replace``, before any stage runs.

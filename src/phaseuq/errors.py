@@ -37,10 +37,6 @@ class ZeroBackground(PhaseUqError):
     pass
 
 
-class NegativeIntensity(PhaseUqError):
-    pass
-
-
 class InsufficientGrid(PhaseUqError):
     pass
 
@@ -78,10 +74,6 @@ class NonPositiveSigma(PhaseUqError):
 
 
 class BracketFailure(PhaseUqError):
-    pass
-
-
-class EmptyMask(PhaseUqError):
     pass
 
 

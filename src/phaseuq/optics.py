@@ -24,15 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GeometryBlock
-from .errors import (
-    EmptyRegion,
-    FrequencyOutOfGrid,
-    NegativeIntensity,
-    NonFiniteInput,
-    SizeMismatch,
-    ZeroBackground,
-)
+from .config import GeometryBlock, NoiseBlock
+from .errors import EmptyRegion, FrequencyOutOfGrid, SizeMismatch, ZeroBackground
 from .grid import fft2_unitary, freq_axis, ifft2_unitary
 
 __all__ = [
@@ -95,10 +88,6 @@ class IlluminationPattern:
     label: str
     leds: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.leds) == 0:
-            raise EmptyRegion(f"pattern {self.label!r} contains no LEDs")
-
 
 def design_patterns(
     geometry: GeometryBlock, na_obj: float, na_max: float
@@ -110,10 +99,9 @@ def design_patterns(
     point-asymmetric LED set, and their asymmetry axes sit 90 degrees apart,
     which is what the phase transfer functions need for full Fourier
     coverage.  Darkfield (na_obj < NA <= na_max): three 120-degree sectors
-    centred at 90/210/330 degrees tile the annulus exactly.
+    centred at 90/210/330 degrees tile the annulus exactly. Callers pass
+    the ``OpticsBlock``'s NAs, so 0 < na_obj < na_max holds.
     """
-    if not (0 < na_obj < na_max):
-        raise NonFiniteInput(f"need 0 < na_obj < na_max, got {na_obj}, {na_max}")
     sectors = [
         ("bf-up", 0.0, na_obj, 90.0, 270.0),
         ("bf-right", 0.0, na_obj, 0.0, 270.0),
@@ -255,16 +243,15 @@ def phase_transfer_function(
     return 1j * (C - _reflect_center(np.conj(C))) / B
 
 
-def add_noise(img: np.ndarray, model: tuple[str, float], seed: int) -> np.ndarray:
-    """Measurement noise: ("gaussian", sigma) or ("poisson", photons_per_unit)."""
-    kind, level = model
+def add_noise(img: np.ndarray, noise: NoiseBlock, seed: int) -> np.ndarray:
+    """img with the block's measurement noise; img itself under model none.
+
+    gaussian adds a normal draw of std level; poisson draws photon counts at
+    level photons per unit intensity and scales them back.
+    """
+    if noise.model == "none":
+        return img
     rng = np.random.default_rng(seed)
-    if kind == "gaussian":
-        return img + level * rng.standard_normal(img.shape)
-    if kind == "poisson":
-        if np.any(img < 0):
-            raise NegativeIntensity("poisson noise needs a non-negative image")
-        if not level > 0:
-            raise NonFiniteInput(f"photon count must be positive, got {level}")
-        return rng.poisson(img * level) / level
-    raise NonFiniteInput(f"unknown noise model {kind!r}")
+    if noise.model == "gaussian":
+        return img + noise.level * rng.standard_normal(img.shape)
+    return rng.poisson(img * noise.level) / noise.level

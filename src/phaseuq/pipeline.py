@@ -64,16 +64,15 @@ from .optics import (
 from .phantom import gaussian_bumps, resolution_target
 from .preprocess import (
     MIN_BACKGROUND_PIXELS,
-    PatchGrid,
     estimate_noise,
     extract_patches,
     normalize_unit,
+    patch_positions,
     stitch_alpha_blend,
 )
 from .recon import MeasurementStack, dpc_reconstruct, sfpm_reconstruct
 from .tensorfile import read_records, read_tensor, write_pgm16, write_records, write_tensor
 from .uqstats import (
-    averaged_credibility,
     credibility_map,
     credible_bound,
     decompose_uncertainty,
@@ -134,16 +133,25 @@ def _required(info: dict[str, str], key: str, source, parse):
         raise FormatError(f"{source}: {key!r} is missing or not a number") from None
 
 
-def _load(run_dir, name: str, *, ndim=None, count=None) -> tuple[np.ndarray, dict[str, str]]:
-    """A tensor and its metadata rows; ndim and count, if given, fix its rank and length."""
+def _load(run_dir, name: str, shape=None) -> tuple[np.ndarray, dict[str, str]]:
+    """A tensor and its metadata rows; shape, if given, fixes the rank and each axis not None."""
     path = Path(run_dir) / name
     if not path.is_file():
         raise MissingArtifact(f"{path} not found")
     array, meta = read_tensor(path)
-    if ndim is not None and (array.ndim != ndim or count not in (None, array.shape[0])):
-        length = "" if count is None else f" of {count} images"
-        raise FormatError(f"{path}: expected a rank-{ndim} tensor{length}, got {array.shape}")
+    if shape is not None and (
+        array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape))
+    ):
+        want = ", ".join("*" if n is None else str(n) for n in shape)
+        raise FormatError(f"{path}: expected a tensor of shape ({want}), got {array.shape}")
     return array, _parse_lines(meta)
+
+
+def _check_pitch(info: dict[str, str], source, pitch: float) -> None:
+    """A detector stack must have been formed at the configured detector pitch."""
+    found = _required(info, "pitch", source, float)
+    if found != pitch:
+        raise FormatError(f"{source}: pitch {found} differs from optics.pitch_detector {pitch}")
 
 
 def _settings_hash(cfg: ExperimentConfig) -> str:
@@ -257,22 +265,17 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
     obj = np.exp(1j * phi)
     pupil = make_pupil(opt.na_obj, geom.wavelength, shape_det, opt.pitch_detector)
 
-    noisy = cfg.noise.model != "none"
-    model = (cfg.noise.model, cfg.noise.level)
     leds = [led for led in range(geom.n_leds) if geom.led_na(led) <= opt.na_max + 1e-12]
     # one object transform for the whole stack; noisy images replace clean ones in place
     stack = forward_leds(obj, hp, pupil, [led_frequency(geom, led) for led in leds])
-    if noisy:
-        for i, led in enumerate(leds):
-            stack[i] = add_noise(stack[i], model, cfg.noise.seed + led)
+    for i, led in enumerate(leds):
+        stack[i] = add_noise(stack[i], cfg.noise, cfg.noise.seed + led)
 
     patterns = design_patterns(geom, opt.na_obj, opt.na_max)
     mux = []
     for i, pattern in enumerate(patterns):
         img = synthesize_multiplexed(obj, hp, pupil, pattern, geom)
-        if noisy:
-            img = add_noise(img, model, cfg.noise.seed + 100000 + i)
-        mux.append(img)
+        mux.append(add_noise(img, cfg.noise, cfg.noise.seed + 100000 + i))
 
     seeds = {"phantom": ph.seed, "noise": cfg.noise.seed}
     with _run(out_root, "simulate", cfg, seeds=seeds, export_pgm=export_pgm) as run:
@@ -294,8 +297,9 @@ def sfpm_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: boo
     """Iterative synthetic-aperture phase retrieval from the LED stack."""
     geom = _require(cfg.geometry, "geometry")
     opt = _require(cfg.optics, "optics")
-    arr, info = _load(simulate_dir, "led_stack.puqt", ndim=3)
+    arr, info = _load(simulate_dir, "led_stack.puqt", (None, None, None))
     source = Path(simulate_dir) / "led_stack.puqt"
+    _check_pitch(info, source, opt.pitch_detector)
     leds = _required(info, "leds", source, lambda text: [int(tok) for tok in text.split()])
     if len(leds) != arr.shape[0]:
         raise FormatError(
@@ -320,7 +324,8 @@ def dpc_stage(cfg: ExperimentConfig, out_root, simulate_dir, *, export_pgm: bool
     geom = _require(cfg.geometry, "geometry")
     opt = _require(cfg.optics, "optics")
     patterns = design_patterns(geom, opt.na_obj, opt.na_max)
-    arr, info = _load(simulate_dir, "multiplexed.puqt", ndim=3, count=len(patterns))
+    arr, info = _load(simulate_dir, "multiplexed.puqt", (len(patterns), None, None))
+    _check_pitch(info, Path(simulate_dir) / "multiplexed.puqt", opt.pitch_detector)
     labels = info.get("patterns", "").split()
     if labels != [p.label for p in patterns]:
         raise FormatError("multiplexed stack does not match the configured pattern set")
@@ -344,7 +349,7 @@ def preprocess_stage(
     phi, _ = _load(simulate_dir, "phantom_phase.puqt")
     truth_norm, scale, offset = normalize_unit(phi)
 
-    recon, _ = _load(recon_dir, "phase.puqt", ndim=2)
+    recon, _ = _load(recon_dir, "phase.puqt", (None, None))
     if recon.shape != (n, n):
         recon = resize_bicubic(recon, n, n)
     # global phase offsets cancel inside the noise estimate, the scale must match
@@ -353,7 +358,7 @@ def preprocess_stage(
     mask = truth_norm <= cfg.analysis.background_threshold
     sigma_background, pixel_count = estimate_noise(recon_norm, mask)
 
-    mux, _ = _load(simulate_dir, "multiplexed.puqt", ndim=3, count=CHANNELS[0])
+    mux, _ = _load(simulate_dir, "multiplexed.puqt", (CHANNELS[0], None, None))
     channels = []
     for i in range(mux.shape[0]):
         mean = float(mux[i].mean())
@@ -362,7 +367,7 @@ def preprocess_stage(
         channels.append(resize_bicubic(mux[i] / mean - 1.0, n, n))
     inputs = np.stack(channels)
 
-    positions = PatchGrid(cfg.train.patch, cfg.train.stride, n).positions()
+    positions = patch_positions(cfg.train.patch, cfg.train.stride, n)
     targets = extract_patches(truth_norm, positions, cfg.train.patch)
     patch_inputs = extract_patches(inputs, positions, cfg.train.patch)
     split = np.array([1.0 if k % 4 == 3 else 0.0 for k in range(len(positions))])
@@ -444,7 +449,7 @@ def predict_stage(
     each in its own workspace, one ``forward`` per patch. Each member's
     maps depend only on its checkpoint and the patches, not on the pool.
     """
-    xs, _ = _load(preprocess_dir, "patches_inputs.puqt")
+    xs, _ = _load(preprocess_dir, "patches_inputs.puqt", (None, CHANNELS[0], None, None))
     paths = sorted(Path(train_dir).glob("checkpoint_*.puqt"))
     if not paths:
         raise MissingArtifact(f"no checkpoints found in {train_dir}")
@@ -530,7 +535,7 @@ def analyze_stage(
             ("epsilon", epsilon),
             ("target_p", a.target_p),
             ("delta_p", a.delta_p),
-            ("avg_credibility", averaged_credibility(cmap, np.ones(truth.shape, dtype=bool))),
+            ("avg_credibility", float(cmap.mean())),
             ("populated_bins", int(diagram.populated.sum())),
             ("max_gap", diagram.max_gap()),
         ]
@@ -547,14 +552,14 @@ def stitch_stage(
     opt = _require(cfg.optics, "optics")
     hp = _hires_pitch(cfg)
     n = opt.n_hires
-    pos, _ = _load(preprocess_dir, "patches_positions.puqt")
-    if pos.ndim != 2 or pos.shape[1] != 2 or (pos < 0).any() or (pos != np.floor(pos)).any():
+    pos, _ = _load(preprocess_dir, "patches_positions.puqt", (None, 2))
+    if (pos < 0).any() or (pos != np.floor(pos)).any():
         raise FormatError(
             f"{Path(preprocess_dir) / 'patches_positions.puqt'}: positions must be "
-            f"(K, 2) non-negative integers, got shape {pos.shape}"
+            "non-negative integers"
         )
     positions = [(int(r), int(c)) for r, c in pos]
-    bg, _ = _load(preprocess_dir, "background_mask.puqt")
+    bg, _ = _load(preprocess_dir, "background_mask.puqt", (n, n))
     background = bg > 0.5
 
     stitched = {
@@ -568,7 +573,7 @@ def stitch_stage(
     cmap = np.clip(stitched["credibility"], 0.0, 1.0)
 
     def region_mean(mask: np.ndarray) -> float:
-        return averaged_credibility(cmap, mask) if mask.any() else float("nan")
+        return float(cmap[mask].mean()) if mask.any() else float("nan")
 
     frac_high = (
         float(np.mean(cmap[background] > DEMO_GATE_CREDIBILITY))

@@ -2,15 +2,13 @@
 
 Unwrapping, dynamic-range clipping, [0, 1] normalization, background
 noise estimation, patch extraction, and alpha-blend stitching. No pixel
-pitch enters any of them, so they take and return ndarrays; rasters stay
-where pitch feeds frequency arithmetic. Everything here is pure and
-deterministic.
+pitch enters any of them, so they take and return ndarrays. Everything
+here is pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,34 +105,19 @@ def estimate_noise(phase: np.ndarray, background_mask: np.ndarray) -> tuple[floa
     return float(np.std(phase[mask], ddof=1)), count
 
 
-@dataclass(frozen=True)
-class PatchGrid:
-    """Row-major tiling of a square field; the last row/column is clamped to the border."""
+def patch_positions(patch: int, stride: int, side: int) -> list[tuple[int, int]]:
+    """Row-major (row, col) corners tiling a square field of the given side.
 
-    patch: int
-    stride: int
-    side: int
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise NonFiniteInput("stride must be >= 1")
-        if self.patch < 1:
-            raise NonFiniteInput("patch size must be >= 1")
-        if self.patch > self.side:
-            raise SizeMismatch(f"{self.patch}px patch exceeds the {self.side}px field")
-
-    def positions(self) -> list[tuple[int, int]]:
-        count = -(-(self.side - self.patch) // self.stride) + 1
-        starts = [min(k * self.stride, self.side - self.patch) for k in range(count)]
-        return [(r, c) for r in starts for c in starts]
+    Windows step by stride; the last row and column are clamped to the
+    border. Callers pass the config's 1 <= patch <= side and stride >= 1.
+    """
+    count = -(-(side - patch) // stride) + 1
+    starts = [min(k * stride, side - patch) for k in range(count)]
+    return [(r, c) for r in starts for c in starts]
 
 
 def extract_patches(field: np.ndarray, positions, patch: int) -> np.ndarray:
     """(K, ..., patch, patch) stack of the patch x patch windows of a (..., H, W) field."""
-    h, w = field.shape[-2:]
-    for r, c in positions:
-        if r < 0 or c < 0 or r + patch > h or c + patch > w:
-            raise SizeMismatch(f"{patch}px patch at ({r}, {c}) leaves the {h}x{w} field")
     return np.stack([field[..., r : r + patch, c : c + patch] for r, c in positions])
 
 

@@ -172,16 +172,13 @@ def dpc_deconvolve(
 
     Transfer functions are rescaled to unit peak magnitude (with the matching
     rescale of each data spectrum) so beta is expressed relative to a unit
-    passband response.  Linear in the input images.
+    passband response.  Linear in the input images, which come one per
+    transfer function, all on one grid.
     """
-    if len(normalized) != len(transfer) or not normalized:
-        raise SizeMismatch("need one transfer function per image")
     shape = normalized[0].shape
     num = np.zeros(shape, dtype=complex)
     den = np.full(shape, float(beta))
     for img, tf in zip(normalized, transfer):
-        if img.shape != shape or tf.shape != shape:
-            raise SizeMismatch("images and transfer functions must share one grid")
         peak = np.max(np.abs(tf))
         scale = peak if peak > 0 else 1.0
         Ht = tf / scale
@@ -201,10 +198,9 @@ def dpc_reconstruct(
 ) -> np.ndarray:
     """One-shot weak-phase reconstruction from brightfield pattern images.
 
-    The images lie on the pupil's grid, whose pixel spacing is pitch.
+    The images, one per pattern, lie on the pupil's grid, whose pixel
+    spacing is pitch.
     """
-    if len(bf_images) != len(patterns) or len(bf_images) == 0:
-        raise SizeMismatch("need one pattern per brightfield image")
     normalized = []
     transfer = []
     for img, pat in zip(bf_images, patterns):

@@ -4,10 +4,10 @@ An ensemble of P per-pixel Laplace distributions (mu_p, sigma_p) is
 treated as an equal-weight mixture. This module computes the mixture
 mean, the variance decomposition into data and model parts, credibility
 maps p_i(eps) = P(|y - mu_hat| <= eps), credible-interval bounds by
-bisection, reliability diagrams, and mask-averaged credibility. The
-ensemble's members hold rasters; every result here is a plain ndarray of
-the members' shape (the decomposition a NamedTuple of four, the diagram
-per-bin arrays), since no pixel pitch enters any of them.
+bisection, and reliability diagrams. The ensemble's members hold rasters;
+every result here is a plain ndarray of the members' shape (the
+decomposition a NamedTuple of four, the diagram per-bin arrays), since no
+pixel pitch enters any of them.
 
 Credibility maps and bounds evaluate each member's interval mass in closed
 form from a = |mu_hat - mu_p| / sigma_p, one cache-sized block of pixels at a
@@ -22,13 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    EmptyMask,
-    NonFiniteInput,
-    NonPositiveSigma,
-    ShapeMismatch,
-)
+from .errors import BracketFailure, NonFiniteInput, NonPositiveSigma
 from .learner import PredictiveEnsemble, PredictiveMap
 
 __all__ = [
@@ -41,7 +35,6 @@ __all__ = [
     "credibility_map",
     "credible_bound",
     "reliability_diagram",
-    "averaged_credibility",
 ]
 
 
@@ -185,12 +178,9 @@ def credible_bound(ens: PredictiveEnsemble, target_p: float, tol: float = 1e-6) 
     the reported bound never undershoots the target. Pixels are bisected
     one block at a time, all for the same number of steps (set by the
     widest bracket), so the result does not depend on the block size.
+    Callers pass a target_p in [0, 1), as ``AnalysisBlock`` holds it, and a
+    finite tol > 0.
     """
-    target_p = float(target_p)
-    if not (0.0 <= target_p < 1.0):
-        raise NonFiniteInput(f"target_p must be in [0, 1), got {target_p}")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise NonFiniteInput(f"tol must be finite > 0, got {tol}")
     mus, sigmas, mu_hat = _flat_stacks(ens)
     shape = ens.members[0].mu.shape
     if target_p == 0.0:
@@ -228,15 +218,10 @@ def reliability_diagram(
     credibility, the fraction of pixels whose true value lies within
     +-epsilon of the mean, and the pixel count. Bins with fewer than
     min_count pixels are not populated and stay out of summary statistics.
+    The three arrays share one shape, and 1/delta_p is an integer, as
+    ``AnalysisBlock`` requires.
     """
     n_bins = round(1.0 / delta_p)
-    if not math.isclose(n_bins * delta_p, 1.0, rel_tol=0.0, abs_tol=1e-12):
-        raise NonFiniteInput(f"1/delta_p must be an integer, got {delta_p}")
-    if not (np.shape(truth) == np.shape(mean) == np.shape(credibility)):
-        raise ShapeMismatch(
-            f"truth {np.shape(truth)}, mean {np.shape(mean)} and credibility "
-            f"{np.shape(credibility)} must share one shape"
-        )
     p = np.ravel(credibility)
     hit = np.abs(np.ravel(mean) - np.ravel(truth)) <= epsilon
 
@@ -263,13 +248,3 @@ def reliability_diagram(
         epsilon=float(epsilon),
         delta_p=float(delta_p),
     )
-
-
-def averaged_credibility(credibility: np.ndarray, mask: np.ndarray) -> float:
-    """Mean credibility over the masked pixels."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != credibility.shape:
-        raise ShapeMismatch(f"mask shape {mask.shape} does not match map {credibility.shape}")
-    if not mask.any():
-        raise EmptyMask("mask selects no pixels")
-    return float(credibility[mask].mean())

@@ -653,6 +653,9 @@ def test_cli_repeated_led_is_one_error_line(chain, tmp_path, capsys):
         ("preprocess", "simulate", "multiplexed.puqt", lambda a: a[0]),
         ("preprocess", "simulate", "multiplexed.puqt", lambda a: a[:1]),
         ("dpc", "simulate", "multiplexed.puqt", lambda a: a[:1]),
+        ("predict", "preprocess", "patches_inputs.puqt", lambda a: a[:, 0]),
+        ("predict", "preprocess", "patches_inputs.puqt", lambda a: a[:, :1]),
+        ("stitch", "preprocess", "background_mask.puqt", lambda a: a[::2, ::2]),
     ],
     ids=[
         "sfpm-rank4-led-stack",
@@ -660,6 +663,9 @@ def test_cli_repeated_led_is_one_error_line(chain, tmp_path, capsys):
         "preprocess-rank2-multiplexed",
         "preprocess-one-multiplexed-image",
         "dpc-one-multiplexed-image",
+        "predict-rank3-patch-inputs",
+        "predict-one-channel-patch-inputs",
+        "stitch-half-size-background-mask",
     ],
 )
 def test_cli_malformed_input_tensor_is_one_error_line(
@@ -669,11 +675,31 @@ def test_cli_malformed_input_tensor_is_one_error_line(
     shutil.copytree(chain[source], copy)
     arr, meta = read_tensor(copy / name)
     write_tensor(copy / name, change(arr), meta)
-    dirs = {"simulate_dir": chain["simulate"], "recon_dir": chain["sfpm"]}
-    dirs["recon_dir" if source == "sfpm" else "simulate_dir"] = copy
+    dirs = {
+        "simulate_dir": chain["simulate"],
+        "recon_dir": chain["sfpm"],
+        "preprocess_dir": chain["preprocess"],
+        "train_dir": chain["train"],
+        "analyze_dir": chain["analyze"],
+    }
+    dirs[{"sfpm": "recon_dir"}.get(source, f"{source}_dir")] = copy
     rc = _run_stage(tmp_path, command, **dirs)
     err = _one_error_line(capsys, "FormatError")
     assert rc == 1 and name in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, name", [("sfpm", "led_stack.puqt"), ("dpc", "multiplexed.puqt")])
+@pytest.mark.parametrize("row", ["", "pitch 2.5"], ids=["missing", "differs"])
+def test_cli_stack_pitch_must_match_config(chain, tmp_path, capsys, command, name, row):
+    sim = tmp_path / "sim"
+    shutil.copytree(chain["simulate"], sim)
+    arr, meta = read_tensor(sim / name)
+    lines = [row if line.startswith("pitch ") else line for line in meta.splitlines()]
+    write_tensor(sim / name, arr, "\n".join(lines))
+    rc = _run_stage(tmp_path, command, simulate_dir=sim)
+    err = _one_error_line(capsys, "FormatError")
+    assert rc == 1 and name in err and "pitch" in err
     assert not (tmp_path / "r").exists()
 
 

@@ -132,11 +132,11 @@ def test_key_outside_block_rejected():
         parse_config("# top\nlevel 1.0\nnoise {\n}\n")
 
 
-def set_key(key, value):
-    """Canonical text of FULL with block.key set to value, added if absent."""
+def set_key(key, value, text=None):
+    """Canonical text of FULL, or text, with block.key set to value, added if absent."""
     block, name = key.split(".")
     out, current = [], None
-    for line in canonical_text(parse_config(FULL)).splitlines():
+    for line in (text or canonical_text(parse_config(FULL))).splitlines():
         if line.endswith("{"):
             current = line[:-2]
         elif current == block and line.split()[0] == name:
@@ -170,12 +170,20 @@ def set_key(key, value):
         ("analysis.delta_p", "1e-6", "analysis.delta_p"),  # a million bins
         ("analysis.delta_p", "1e-9", "analysis.delta_p"),
         ("train.patch", "256", "train.patch must be <= optics.n_hires"),
+        ("analysis.target_p", "1.0", "analysis.target_p"),
+        ("analysis.delta_p", "0.03", "analysis.delta_p"),  # 1/delta_p not an integer
+        ("phantom.amplitude_hi", "0.5", "phantom.amplitude_hi"),  # below amplitude_lo
+        ("noise.model,noise.level", "poisson,0", "noise.level"),
+        ("noise.model", "speckle", "noise.model"),
     ],
 )
 def test_out_of_range_value_rejected_at_parse(key, value, named):
     # the message must name the key, so a malformed test config cannot pass
+    text = None
+    for k, v in zip(key.split(","), value.split(",")):
+        text = set_key(k, v, text)
     with pytest.raises(ConfigError, match=re.escape(named)):
-        parse_config(set_key(key, value))
+        parse_config(text)
 
 
 def test_canonical_roundtrip():
@@ -362,13 +370,6 @@ def test_bumps_peak_hits_drawn_amplitude():
     assert a.max() == pytest.approx(0.7, abs=1e-12)
 
 
-def test_bumps_validation():
-    with pytest.raises(NonFiniteInput):
-        gaussian_bumps((64, 64), 0, 0.5, 1.0, seed=0)
-    with pytest.raises(NonFiniteInput):
-        gaussian_bumps((64, 64), 3, 1.0, 0.5, seed=0)
-
-
 def test_resolution_target_shape():
     r = resolution_target((128, 128), 0.9)
     assert r.max() == pytest.approx(0.9, abs=1e-12)
@@ -378,8 +379,3 @@ def test_resolution_target_shape():
     rad = np.hypot(yy, xx)
     ring = r[(rad > 40) & (rad < 44)]
     assert ring.max() > 0.8 * 0.9 and ring.min() < 0.1 * 0.9
-
-
-def test_resolution_target_even_spokes_only():
-    with pytest.raises(NonFiniteInput):
-        resolution_target((64, 64), 0.5, spokes=15)

