@@ -208,7 +208,8 @@ class TrainConfig:
         _at_least("train.seed", self.seed, 0)
         _at_least("train.ensemble_size", self.ensemble_size, 1)
         _at_least("train.patch", self.patch, 1)
-        _at_least("train.stride", self.stride, 1)
+        # a stride above the patch leaves pixels that no patch covers
+        _check(1 <= self.stride <= self.patch, "train.stride", f"in [1, patch={self.patch}]", self.stride)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Fields and spectra are plain 2D ndarrays.  No function here keeps a pixel
 pitch: only ``freq_axis`` turns one into frequencies, and callers pass it
 the pitch of the grid they mean.  ``RealRaster`` remains only as the
-container of a predicted map in ``learner``.
+container of the mu and sigma arrays of a predicted map in ``learner``.
 
 All spectra in this package live on centered grids: the DC sample of an
 ``n``-point axis sits at index ``n // 2``, and transforms are unitary
@@ -39,22 +39,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RealRaster:
-    """Real-valued 2D field: one member's predicted map in ``learner``."""
+    """Finite float64 array: the mu or sigma of one member's predicted map in ``learner``."""
 
     data: np.ndarray
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise SizeMismatch(f"raster must be 2D, got shape {data.shape}")
-        if data.shape[0] < 1 or data.shape[1] < 1:
-            raise SizeMismatch(f"raster sides must be >= 1, got {data.shape}")
         if not np.isfinite(data).all():
             raise NonFiniteInput("raster contains NaN or Inf samples")
         object.__setattr__(self, "data", data)
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
 

@@ -3,7 +3,8 @@
 Fixed architecture, channels 5 -> 16 -> 32 -> 16 -> 2 with 3x3 kernels,
 same zero-padding, ReLU between layers, and one channel-dropout site
 after the second convolution. The two output channels parameterize a
-per-pixel Laplacian: mean mu and log-scale s, sigma = exp(s).
+per-pixel Laplacian: mean mu and log-scale s. A predicted map holds mu
+and the scale sigma = exp(s), exponentiated once, in ``forward``.
 
 The training set is a ``Dataset`` of three arrays: inputs (K, 5, H, W),
 targets (K, H, W) and a boolean validation flag per patch. Training fits
@@ -160,20 +161,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PredictiveMap:
-    """One member's per-pixel Laplacian parameters."""
+    """One member's per-pixel Laplacian parameters: mean mu and scale sigma."""
 
     mu: RealRaster
-    log_scale: RealRaster
+    sigma: RealRaster
 
     def __post_init__(self):
-        if self.mu.shape != self.log_scale.shape:
-            raise ShapeMismatch(
-                f"mu {self.mu.shape} and log_scale {self.log_scale.shape} differ"
-            )
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.exp(self.log_scale.data)
+        if self.mu.shape != self.sigma.shape:
+            raise ShapeMismatch(f"mu {self.mu.shape} and sigma {self.sigma.shape} differ")
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,7 @@ class PredictiveEnsemble:
         The arrays are read-only, since every caller of this ensemble shares them.
         """
         mus = np.stack([m.mu.data.ravel() for m in self.members])
-        sigmas = np.stack([m.sigma.ravel() for m in self.members])
+        sigmas = np.stack([m.sigma.data.ravel() for m in self.members])
         arrays = (mus, sigmas, mus.mean(axis=0))
         for a in arrays:
             a.flags.writeable = False
@@ -494,15 +489,15 @@ def forward(params: RegressorParams, inputs, ws: Workspace | None = None) -> Pre
     """
     arr = _check_stack(inputs)
     out, _, _ = _forward_cols(params.as_list(), arr[None], None, ws)
-    mu, log_scale = out[:, 0].copy()
-    return PredictiveMap(RealRaster(mu), RealRaster(log_scale))
+    mu, s = out[:, 0]
+    return PredictiveMap(RealRaster(mu.copy()), RealRaster(np.exp(s)))
 
 
 def nll_loss(pred: PredictiveMap, target: np.ndarray) -> float:
     if pred.mu.shape != target.shape:
         raise ShapeMismatch(f"prediction {pred.mu.shape} vs target {target.shape}")
     r = target - pred.mu.data
-    s = pred.log_scale.data
+    s = np.log(pred.sigma.data)
     return float(np.mean(np.abs(r) * np.exp(-s) + s) + LOG2)
 
 

@@ -79,7 +79,7 @@ from .uqstats import (
     reliability_diagram,
 )
 
-CHECKPOINT_RECORDS = ("k1", "b1", "k2", "b2", "k3", "b3", "k4", "b4")
+CHECKPOINT_RECORDS = tuple(f.name for f in dataclasses.fields(RegressorParams))
 ANALYSIS_MAPS = (
     "mean",
     "data_sigma",
@@ -412,8 +412,6 @@ def train_stage(
     xs, _ = _load(preprocess_dir, "patches_inputs.puqt")
     ys, _ = _load(preprocess_dir, "patches_targets.puqt")
     split, _ = _load(preprocess_dir, "patches_split.puqt")
-    if not (xs.shape[0] == ys.shape[0] == split.shape[0]):
-        raise ShapeMismatch("patch tensors disagree on the sample count")
     models = train_ensemble(Dataset(xs, ys, split > 0.5), t)
 
     inputs, seeds = {"preprocess": preprocess_dir}, {"train": t.seed}
@@ -465,7 +463,7 @@ def predict_stage(
             # this module's forward, looked up per patch, so a wrapper set on it sees each call
             pred = forward(members[p], x, ws)
             mu[p, k] = pred.mu.data
-            sigma[p, k] = pred.sigma
+            sigma[p, k] = pred.sigma.data
 
     run_members(predict_member, range(len(members)))
 
@@ -484,27 +482,17 @@ def analyze_stage(
     a = cfg.analysis
     mu, _ = _load(predict_dir, "mu.puqt")
     sigma, _ = _load(predict_dir, "sigma.puqt")
-    ys, _ = _load(preprocess_dir, "patches_targets.puqt")
-    if mu.ndim != 4 or mu.shape != sigma.shape or mu.shape[1:] != ys.shape:
+    truth, _ = _load(preprocess_dir, "patches_targets.puqt")
+    if mu.ndim != 4 or mu.shape != sigma.shape or mu.shape[1:] != truth.shape:
         raise ShapeMismatch(
             f"predictions {mu.shape} and {sigma.shape} must be (member, patch, row, col) "
-            f"over targets {ys.shape}"
+            f"over targets {truth.shape}"
         )
-    n_members, n_patches, h, w = mu.shape
     if not (sigma > 0.0).all():
         raise NonPositiveSigma(f"{Path(predict_dir) / 'sigma.puqt'}: sigma must be > 0")
-
-    # per-pixel statistics ignore position, so the patch axis is folded
-    # into one tall mosaic and unfolded again for the output tensors
-    members = tuple(
-        PredictiveMap(
-            RealRaster(mu[p].reshape(n_patches * h, w)),
-            RealRaster(np.log(sigma[p]).reshape(n_patches * h, w)),
-        )
-        for p in range(n_members)
+    ens = PredictiveEnsemble(
+        tuple(PredictiveMap(RealRaster(m), RealRaster(s)) for m, s in zip(mu, sigma))
     )
-    ens = PredictiveEnsemble(members)
-    truth = ys.reshape(n_patches * h, w)
 
     if a.policy == "background-noise":
         path = Path(preprocess_dir) / "noise.txt"
@@ -522,13 +510,13 @@ def analyze_stage(
     inputs = {"preprocess": preprocess_dir, "predict": predict_dir}
     with _run(out_root, "analyze", cfg, inputs, export_pgm=export_pgm) as run:
         layout = [("layout", "patch row col")]
-        folded = maps._asdict() | {
+        named = maps._asdict() | {
             "credibility": cmap,
             "credible_bound": bound,
             "abs_error": abs_error,
         }
         for name in ANALYSIS_MAPS:
-            run.save(f"{name}.puqt", folded[name].reshape(n_patches, h, w), layout)
+            run.save(f"{name}.puqt", named[name], layout)
         diagram.to_csv(run.dir / "reliability.csv")
         rows = [
             ("policy", a.policy),

@@ -4,10 +4,11 @@ An ensemble of P per-pixel Laplace distributions (mu_p, sigma_p) is
 treated as an equal-weight mixture. This module computes the mixture
 mean, the variance decomposition into data and model parts, credibility
 maps p_i(eps) = P(|y - mu_hat| <= eps), credible-interval bounds by
-bisection, and reliability diagrams. The ensemble's members hold rasters;
-every result here is a plain ndarray of the members' shape (the
-decomposition a NamedTuple of four, the diagram per-bin arrays), since no
-pixel pitch enters any of them.
+bisection, and reliability diagrams. Each member holds its mu and sigma
+as predicted, arrays of any one shape shared by all members (the pipeline
+passes a member's patches as one (patch, row, col) array); every result
+here is a plain ndarray of that shape (the decomposition a NamedTuple of
+four, the diagram per-bin arrays), since no pixel pitch enters any of them.
 
 Credibility maps and bounds evaluate each member's interval mass in closed
 form from a = |mu_hat - mu_p| / sigma_p, one cache-sized block of pixels at a

@@ -248,7 +248,7 @@ def test_05_sigma_head_recovers_noise_scale():
     ratios = []
     for inputs, sig_true, _ in hetero_holdout(32):
         pred = forward(params, inputs)
-        ratios.append((pred.sigma / sig_true).ravel())
+        ratios.append((pred.sigma.data / sig_true).ravel())
     ratios = np.concatenate(ratios)
     frac = float(np.mean((ratios >= 0.5) & (ratios <= 2.0)))
 
@@ -267,7 +267,7 @@ def test_06_degenerate_ensemble_decomposition():
     t0 = time.time()
     mu = smooth_field(32, 3)
     sig = 0.05 + 0.1 * smooth_field(32, 4)
-    member = PredictiveMap(RealRaster(mu), RealRaster(np.log(sig)))
+    member = PredictiveMap(RealRaster(mu), RealRaster(sig))
     ens = PredictiveEnsemble((member,) * 4)
     maps = decompose_uncertainty(ens)
 
@@ -293,7 +293,7 @@ def test_07_credibility_closed_forms():
     t0 = time.time()
     sigma0 = 0.2
     member = PredictiveMap(
-        RealRaster(np.full((24, 24), 0.4)), RealRaster(np.full((24, 24), np.log(sigma0)))
+        RealRaster(np.full((24, 24), 0.4)), RealRaster(np.full((24, 24), sigma0))
     )
     ens = PredictiveEnsemble((member,))
 
@@ -330,7 +330,7 @@ def test_08_reliability_diagram_self_consistency():
     sigma = -eps / np.log1p(-p_target)
     mu = rng.normal(size=shape)
     truth = rng.laplace(mu, sigma)
-    member = PredictiveMap(RealRaster(mu), RealRaster(np.log(sigma)))
+    member = PredictiveMap(RealRaster(mu), RealRaster(sigma))
     ens = PredictiveEnsemble((member,))
 
     mean = decompose_uncertainty(ens).mean

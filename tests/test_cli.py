@@ -290,7 +290,7 @@ def test_predict_independent_of_pool_size(chain, cfg, tmp_path, monkeypatch):
         for k, x in enumerate(xs):
             pred = learner.forward(params, x)
             assert np.array_equal(mu[p, k], pred.mu.data)
-            assert np.array_equal(sigma[p, k], pred.sigma)
+            assert np.array_equal(sigma[p, k], pred.sigma.data)
 
 
 def test_predict_pins_and_restores_blas_threads(chain, cfg, tmp_path, blas_threads, monkeypatch):
@@ -335,6 +335,18 @@ def test_analyze_artifacts(chain):
     np.testing.assert_allclose(total**2, data**2 + model**2, atol=1e-12)
     cred, _ = read_tensor(run / "credibility.puqt")
     assert cred.min() >= 0.0 and cred.max() <= 1.0
+
+
+def test_analyze_maps_are_exact_in_predict_files(chain):
+    # analyze computes from the sigma in sigma.puqt as written, not from exp(log sigma)
+    mu, _ = read_tensor(chain["predict"] / "mu.puqt")
+    sigma, _ = read_tensor(chain["predict"] / "sigma.puqt")
+    data, _ = read_tensor(chain["analyze"] / "data_sigma.puqt")
+    total, _ = read_tensor(chain["analyze"] / "total_sigma.puqt")
+    data_var = (2.0 * sigma**2).mean(axis=0)
+    model_var = ((mu - mu.mean(axis=0)) ** 2).mean(axis=0)
+    assert np.array_equal(data, np.sqrt(data_var))
+    assert np.array_equal(total, np.sqrt(data_var + model_var))
 
 
 def test_analyze_reliability_csv(chain):
@@ -700,6 +712,17 @@ def test_cli_stack_pitch_must_match_config(chain, tmp_path, capsys, command, nam
     rc = _run_stage(tmp_path, command, simulate_dir=sim)
     err = _one_error_line(capsys, "FormatError")
     assert rc == 1 and name in err and "pitch" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_cli_short_split_is_one_error_line(chain, tmp_path, capsys):
+    pre = tmp_path / "pre"
+    shutil.copytree(chain["preprocess"], pre)
+    split, meta = read_tensor(pre / "patches_split.puqt")
+    write_tensor(pre / "patches_split.puqt", split[:-1], meta)
+    rc = _run_stage(tmp_path, "train", preprocess_dir=pre)
+    err = _one_error_line(capsys, "ShapeMismatch")
+    assert rc == 1 and "validation" in err
     assert not (tmp_path / "r").exists()
 
 

@@ -175,6 +175,7 @@ def set_key(key, value, text=None):
         ("phantom.amplitude_hi", "0.5", "phantom.amplitude_hi"),  # below amplitude_lo
         ("noise.model,noise.level", "poisson,0", "noise.level"),
         ("noise.model", "speckle", "noise.model"),
+        ("train.stride", "20", "train.stride must be in [1, patch=16]"),  # gaps between patches
     ],
 )
 def test_out_of_range_value_rejected_at_parse(key, value, named):

@@ -113,8 +113,8 @@ def test_forward_two_channel_output():
     pred = forward(init_params(0), np.random.default_rng(0).normal(size=(5, 12, 12)))
     assert isinstance(pred, PredictiveMap)
     assert pred.mu.shape == (12, 12)
-    assert pred.log_scale.shape == (12, 12)
-    assert np.all(pred.sigma > 0.0)
+    assert pred.sigma.shape == (12, 12)
+    assert np.all(pred.sigma.data > 0.0)
 
 
 def test_forward_deterministic_without_dropout():
@@ -122,7 +122,7 @@ def test_forward_deterministic_without_dropout():
     params = init_params(4)
     a, b = forward(params, x), forward(params, x)
     assert np.array_equal(a.mu.data, b.mu.data)
-    assert np.array_equal(a.log_scale.data, b.log_scale.data)
+    assert np.array_equal(a.sigma.data, b.sigma.data)
 
 
 def test_forward_rejects_wrong_stack():
@@ -141,7 +141,7 @@ def test_backward_dropout_needs_seed():
 def test_nll_zero_at_matching_half_sigma():
     n = 8
     mu = np.random.default_rng(0).normal(size=(n, n))
-    pred = PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), math.log(0.5))))
+    pred = PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), 0.5)))
     assert abs(nll_loss(pred, mu)) < 1e-12
 
 
@@ -157,13 +157,13 @@ def test_nll_minimized_at_sigma_equal_residual():
 def test_nll_doubling_sigma_adds_log2():
     n = 6
     mu = np.zeros((n, n))
-    lo = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.zeros((n, n)))), mu)
-    hi = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), math.log(2.0)))), mu)
+    lo = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.ones((n, n)))), mu)
+    hi = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), 2.0))), mu)
     assert abs(hi - lo - math.log(2.0)) < 1e-12
 
 
 def test_nll_shape_mismatch():
-    pred = PredictiveMap(RealRaster(np.zeros((4, 4))), RealRaster(np.zeros((4, 4))))
+    pred = PredictiveMap(RealRaster(np.zeros((4, 4))), RealRaster(np.ones((4, 4))))
     with pytest.raises(ShapeMismatch):
         nll_loss(pred, np.zeros((5, 4)))
 
@@ -306,10 +306,10 @@ def test_forward_and_backward_results_do_not_alias_buffers():
     y1, y2 = rng.normal(size=(2, 12, 12))
     pred = forward(params, x1)
     grads, _ = backward(params, x1, y1, dropout_rate=0.5, dropout_seed=1)
-    kept = [a.copy() for a in (pred.mu.data, pred.log_scale.data, *grads.as_list())]
+    kept = [a.copy() for a in (pred.mu.data, pred.sigma.data, *grads.as_list())]
     forward(params, x2)
     backward(params, x2, y2, dropout_rate=0.5, dropout_seed=2)
-    after = (pred.mu.data, pred.log_scale.data, *grads.as_list())
+    after = (pred.mu.data, pred.sigma.data, *grads.as_list())
     for a, b in zip(kept, after):
         assert np.array_equal(a, b)
 
@@ -352,7 +352,7 @@ def test_forward_in_a_held_workspace_matches_fresh_workspaces():
         for params in members:
             got, want = forward(params, x, ws), forward(params, x)
             assert np.array_equal(got.mu.data, want.mu.data)
-            assert np.array_equal(got.log_scale.data, want.log_scale.data)
+            assert np.array_equal(got.sigma.data, want.sigma.data)
 
 
 def test_forward_result_does_not_alias_its_workspace():
@@ -361,13 +361,13 @@ def test_forward_result_does_not_alias_its_workspace():
     x1, x2 = rng.normal(size=(2, 5, 12, 12))
     ws = Workspace(1, 12, 12)
     pred = forward(params, x1, ws)
-    kept = pred.mu.data.copy(), pred.log_scale.data.copy()
+    kept = pred.mu.data.copy(), pred.sigma.data.copy()
     forward(params, x2, ws)
     assert np.array_equal(pred.mu.data, kept[0])
-    assert np.array_equal(pred.log_scale.data, kept[1])
+    assert np.array_equal(pred.sigma.data, kept[1])
     for buf in (ws.pad, *ws.cols, *ws.z, *ws.acts):
         assert not np.shares_memory(pred.mu.data, buf)
-        assert not np.shares_memory(pred.log_scale.data, buf)
+        assert not np.shares_memory(pred.sigma.data, buf)
 
 
 def test_dropout_masked_channel_gets_zero_gradient():
@@ -456,7 +456,7 @@ def test_train_sigma_tracks_injected_noise():
     params = train(ds, TrainConfig(lr=5e-3, epochs=100, dropout_rate=0.1, seed=2))
     sig_hat, sig_true = [], []
     for inputs, sig, _ in hetero_holdout(n_val=8, base_seed=4000):
-        sig_hat.append(forward(params, inputs).sigma.ravel())
+        sig_hat.append(forward(params, inputs).sigma.data.ravel())
         sig_true.append(sig.ravel())
     rho = np.corrcoef(np.concatenate(sig_hat), np.concatenate(sig_true))[0, 1]
     assert rho > 0.8
@@ -591,7 +591,7 @@ def test_predict_ensemble_identical_members():
     assert ens.size == 3
     for m in ens.members[1:]:
         assert np.array_equal(m.mu.data, ens.members[0].mu.data)
-        assert np.array_equal(m.log_scale.data, ens.members[0].log_scale.data)
+        assert np.array_equal(m.sigma.data, ens.members[0].sigma.data)
 
 
 # ------------------------------------------------------------- validation

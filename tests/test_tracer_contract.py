@@ -7,12 +7,14 @@ small demo and checks its counts against the run tree.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from phaseuq.cli import DEMO_CONFIG
+from phaseuq.config import parse_config
 from phaseuq.tensorfile import read_tensor
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +73,12 @@ def test_tracer_counts_match_the_run_tree(tmp_path):
     assert count("recon.sfpm_reconstruct", "work") == SFPM_EPOCHS * n_leds == 162
     pixels = n_patches * 16 * 16
     assert count("uqstats.decompose_uncertainty", "work") == MEMBERS * pixels == 61_952
+    for key in ("credibility_map", "credible_bound", "reliability_diagram"):
+        assert count(f"uqstats.{key}", "calls") == 1, key
+
+    # one optimizer step per batch of the patches not held out, per epoch and member
+    split, _ = read_tensor(next(tree.glob("preprocess-*")) / "patches_split.puqt")
+    train = parse_config(cfg.read_text(encoding="utf-8")).train
+    steps = train.epochs * math.ceil(int((split < 0.5).sum()) / train.batch_size)
+    assert count("learner.train", "calls") == MEMBERS
+    assert count("learner.train", "work") == MEMBERS * steps == 12

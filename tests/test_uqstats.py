@@ -23,7 +23,7 @@ from phaseuq.uqstats import (
 def mk_map(mu, sigma):
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    return PredictiveMap(RealRaster(mu), RealRaster(np.log(sigma)))
+    return PredictiveMap(RealRaster(mu), RealRaster(sigma))
 
 
 def mk_ensemble(members):
@@ -158,7 +158,7 @@ def test_credibility_zero_epsilon():
 
 def test_credibility_large_epsilon_captures_all_mass():
     ens = random_ensemble(5)
-    sig = np.stack([m.sigma for m in ens.members])
+    sig = np.stack([m.sigma.data for m in ens.members])
     mus = np.stack([m.mu.data for m in ens.members])
     spread = np.abs(mus - mus.mean(axis=0)).max()
     cmap = credibility_map(ens, 50.0 * sig.max() + spread)
@@ -228,7 +228,7 @@ def test_bound_roundtrip():
 def _credibility_of(ens, eps_map):
     # pointwise mixture credibility at a per-pixel epsilon
     mus = np.stack([m.mu.data for m in ens.members])
-    sigmas = np.stack([m.sigma for m in ens.members])
+    sigmas = np.stack([m.sigma.data for m in ens.members])
     mu_hat = mus.mean(axis=0)
     hi = laplace_cdf(mu_hat + eps_map, mus, sigmas)
     lo = laplace_cdf(mu_hat - eps_map, mus, sigmas)
@@ -281,8 +281,8 @@ def test_credibility_matches_laplace_cdf_mixture():
 
 def test_blockwise_rejects_zero_sigma():
     ens = wide_ensemble()
-    bad = ens.members[1].log_scale.data.copy()
-    bad[20, 30] = -1000.0  # sigma = exp(-1000) underflows to 0
+    bad = ens.members[1].sigma.data.copy()
+    bad[20, 30] = 0.0
     members = list(ens.members)
     members[1] = PredictiveMap(members[1].mu, RealRaster(bad))
     ens = mk_ensemble(members)
