@@ -127,7 +127,9 @@ class OpticsBlock:
         # the darkfield patterns cover the annulus na_obj < NA <= na_max
         _positive("optics.na_max", self.na_max)
         _check(self.na_max > self.na_obj, "optics.na_max", "> optics.na_obj", self.na_max)
-        _at_least("optics.n_detector", self.n_detector, 1)
+        # the transforms and the transfer function's reflection need an even detector grid
+        n = self.n_detector
+        _check(n >= 2 and n % 2 == 0, "optics.n_detector", "even and >= 2", n)
         # the simulated object grid is an integer upsampling of the detector
         _check(
             self.n_hires >= 1 and self.n_hires % self.n_detector == 0,

@@ -11,6 +11,11 @@ is passed only where it becomes a frequency: the pupil's cutoff, the LED
 windows of the forward model and the LED shifts of the transfer function.
 The detector grid is the pupil's grid.
 
+``forward_leds`` is the only function that turns an object into images.  A
+multiplexed pattern image is the incoherent sum of the single-LED images of
+the LEDs it switches on, so ``synthesize_multiplexed`` adds rows of a stack
+that ``forward_leds`` already formed.
+
 An LED tilts the illumination by a plane wave of frequency u_led; the
 camera-plane spectrum is the object spectrum window centred at -u_led
 multiplied by the pupil, so the unscattered beam crosses the pupil at
@@ -191,17 +196,17 @@ def forward_leds(
 
 
 def synthesize_multiplexed(
-    obj: np.ndarray,
-    pitch: float,
-    pupil: np.ndarray,
-    pattern: IlluminationPattern,
-    geometry: GeometryBlock,
+    images: dict[int, np.ndarray], pattern: IlluminationPattern
 ) -> np.ndarray:
-    """Incoherent sum of the single-LED intensities of one pattern."""
-    u_leds = [led_frequency(geometry, led) for led in pattern.leds]
-    total = np.zeros(pupil.shape)
-    for img in forward_leds(obj, pitch, pupil, u_leds):
-        total += img
+    """Incoherent sum of the single-LED intensities of one pattern.
+
+    images maps each LED to its noise-free single-LED image, as
+    ``forward_leds`` forms them; the pattern's images are added in pattern
+    order.
+    """
+    total = np.zeros(images[pattern.leds[0]].shape)
+    for led in pattern.leds:
+        total += images[led]
     return total
 
 

@@ -268,14 +268,13 @@ def simulate_stage(cfg: ExperimentConfig, out_root, *, export_pgm: bool = False)
     leds = [led for led in range(geom.n_leds) if geom.led_na(led) <= opt.na_max + 1e-12]
     # one object transform for the whole stack; noisy images replace clean ones in place
     stack = forward_leds(obj, hp, pupil, [led_frequency(geom, led) for led in leds])
+    patterns = design_patterns(geom, opt.na_obj, opt.na_max)
+    # the pattern sums read views of the clean rows, so they are formed before the noise
+    clean = dict(zip(leds, stack))
+    mux = [synthesize_multiplexed(clean, pattern) for pattern in patterns]
     for i, led in enumerate(leds):
         stack[i] = add_noise(stack[i], cfg.noise, cfg.noise.seed + led)
-
-    patterns = design_patterns(geom, opt.na_obj, opt.na_max)
-    mux = []
-    for i, pattern in enumerate(patterns):
-        img = synthesize_multiplexed(obj, hp, pupil, pattern, geom)
-        mux.append(add_noise(img, cfg.noise, cfg.noise.seed + 100000 + i))
+    mux = [add_noise(img, cfg.noise, cfg.noise.seed + 100000 + i) for i, img in enumerate(mux)]
 
     seeds = {"phantom": ph.seed, "noise": cfg.noise.seed}
     with _run(out_root, "simulate", cfg, seeds=seeds, export_pgm=export_pgm) as run:

@@ -21,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GeometryBlock, SfpmConfig
-from .errors import (
-    InsufficientGrid,
-    NonFiniteInput,
-    SizeMismatch,
-    ZeroMeanImage,
-)
+from .errors import InsufficientGrid, NonFiniteInput, ZeroMeanImage
 from .grid import (
     embed_center_spectrum,
     fft2_unitary,
@@ -58,13 +53,6 @@ class MeasurementStack:
     geometry: GeometryBlock
     na_obj: float
     pitch: float
-
-    def __post_init__(self):
-        if not self.images:
-            raise SizeMismatch("measurement stack is empty")
-        shapes = {img.shape for img in self.images.values()}
-        if len(shapes) != 1 or len(next(iter(shapes))) != 2:
-            raise SizeMismatch(f"stack images must share one 2D shape, got {sorted(shapes)}")
 
 
 def subtract_mean_phase(phase: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:

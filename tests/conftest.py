@@ -5,6 +5,7 @@ import pytest
 
 from phaseuq import learner
 from phaseuq.learner import Dataset
+from phaseuq.optics import forward_leds, led_frequency, synthesize_multiplexed
 
 
 def bump_field(n, seed, bumps=6, sigma_range=(10.0, 24.0), margin=0.25, amplitude=1.0):
@@ -25,6 +26,14 @@ def bump_field(n, seed, bumps=6, sigma_range=(10.0, 24.0), margin=0.25, amplitud
     if peak > 0:
         field *= amplitude / peak
     return field
+
+
+def pattern_images(obj, pitch, pupil, geometry, patterns):
+    """Noise-free pattern images from one forward_leds call over the patterns' LEDs."""
+    leds = sorted({led for p in patterns for led in p.leds})
+    stack = forward_leds(obj, pitch, pupil, [led_frequency(geometry, led) for led in leds])
+    images = dict(zip(leds, stack))
+    return [synthesize_multiplexed(images, p) for p in patterns]
 
 
 def smooth_field(n, seed, bumps=5, sigma_range=(2.5, 5.0)):

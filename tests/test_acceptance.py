@@ -17,6 +17,7 @@ from conftest import (
     bump_field,
     hetero_dataset,
     hetero_holdout,
+    pattern_images,
     smooth_field,
 )
 from phaseuq import pipeline
@@ -43,7 +44,6 @@ from phaseuq.optics import (
     led_frequency,
     make_pupil,
     phase_transfer_function,
-    synthesize_multiplexed,
 )
 from phaseuq.preprocess import (
     clip_dynamic_range,
@@ -122,7 +122,7 @@ def test_02_dpc_accuracy_and_symmetry_null():
 
     phi = signed_bumps(256, seed=0)
     obj = np.exp(1j * phi)
-    imgs = [synthesize_multiplexed(obj, 0.5, pupil, p, g) for p in patterns]
+    imgs = pattern_images(obj, 0.5, pupil, g, patterns)
     rec = dpc_reconstruct(imgs, patterns, pupil, 2.0, g)
 
     # reference: the phantom band-limited to the 2 NA_obj transfer support

@@ -19,6 +19,7 @@ from phaseuq import learner, pipeline
 from phaseuq.cli import DEMO_CONFIG, main
 from phaseuq.config import parse_config
 from phaseuq.errors import DemoGateFailure, DivergedLoss, NonFiniteInput
+from phaseuq.optics import design_patterns
 from phaseuq.tensorfile import read_records, read_tensor, write_tensor
 
 SMALL = """
@@ -124,6 +125,24 @@ def test_simulate_artifacts(chain, cfg):
     mux, info = read_tensor(run / "multiplexed.puqt")
     assert mux.shape == (5, 16, 16)
     assert "bf-up bf-right df-90 df-210 df-330" in info
+
+
+def test_multiplexed_images_sum_the_stack_rows(tmp_path):
+    # noise-free, each pattern image is its LEDs' stack rows added in pattern order
+    quiet = parse_config(SMALL.replace("model gaussian", "model none"))
+    run = pipeline.simulate_stage(quiet, tmp_path)
+    stack, info = read_tensor(run / "led_stack.puqt")
+    leds = dict(line.split(" ", 1) for line in info.splitlines())["leds"].split()
+    rows = dict(zip((int(tok) for tok in leds), stack))
+    mux, info = read_tensor(run / "multiplexed.puqt")
+    labels = dict(line.split(" ", 1) for line in info.splitlines())["patterns"].split()
+    patterns = design_patterns(quiet.geometry, quiet.optics.na_obj, quiet.optics.na_max)
+    assert [p.label for p in patterns] == labels and len(mux) == 5
+    for pattern, image in zip(patterns, mux):
+        total = np.zeros(image.shape)
+        for led in pattern.leds:
+            total += rows[led]
+        assert np.array_equal(image, total), pattern.label
 
 
 def test_manifest_contents(chain):

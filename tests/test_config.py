@@ -176,6 +176,7 @@ def set_key(key, value, text=None):
         ("noise.model,noise.level", "poisson,0", "noise.level"),
         ("noise.model", "speckle", "noise.model"),
         ("train.stride", "20", "train.stride must be in [1, patch=16]"),  # gaps between patches
+        ("optics.n_detector,optics.n_hires", "33,132", "optics.n_detector"),  # odd grid
     ],
 )
 def test_out_of_range_value_rejected_at_parse(key, value, named):

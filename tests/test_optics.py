@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bump_field
+from conftest import bump_field, pattern_images
 from phaseuq.config import GeometryBlock, NoiseBlock
 from phaseuq.errors import (
     EmptyRegion,
@@ -243,29 +243,27 @@ def test_forward_leds_match_tilted_plane_wave_reference():
 # ---- multiplexed synthesis ----
 
 
-def test_singleton_pattern_matches_single_led():
-    pupil = setup_simulation()
-    g = std_geometry()
-    phi = bump_field(256, seed=3, amplitude=0.8)
-    obj = phase_object(phi)
-    led = g.center_row * g.cols + g.center_col + 1
-    pat = IlluminationPattern("bf-x", (led,))
-    a = synthesize_multiplexed(obj, 0.5, pupil, pat, g)
-    b = single_led(obj, 0.5, pupil, led_frequency(g, led))
-    assert np.array_equal(a, b)
-
-
-def test_disjoint_pattern_additivity():
+def test_pattern_image_is_the_ordered_sum_of_its_led_images():
     pupil = setup_simulation()
     g = std_geometry()
     obj = phase_object(bump_field(256, seed=4, amplitude=0.5))
     c = g.center_row * g.cols + g.center_col
+    leds = [c + 1, c - 1, c + g.cols, c - g.cols - 1]
+    stack = forward_leds(obj, 0.5, pupil, [led_frequency(g, led) for led in leds])
+    images = dict(zip(leds, stack))
+    # a singleton pattern is its LED's image, in a new array
+    single = synthesize_multiplexed(images, IlluminationPattern("bf-x", (c + 1,)))
+    assert np.array_equal(single, images[c + 1]) and not np.shares_memory(single, stack)
     pat_a = IlluminationPattern("bf-a", (c + 1, c - 1))
     pat_b = IlluminationPattern("bf-b", (c + g.cols, c - g.cols - 1))
     pat_ab = IlluminationPattern("bf-ab", pat_a.leds + pat_b.leds)
-    im_ab = synthesize_multiplexed(obj, 0.5, pupil, pat_ab, g)
-    im_a = synthesize_multiplexed(obj, 0.5, pupil, pat_a, g)
-    im_b = synthesize_multiplexed(obj, 0.5, pupil, pat_b, g)
+    im_ab = synthesize_multiplexed(images, pat_ab)
+    ordered = np.zeros(pupil.shape)
+    for led in pat_ab.leds:
+        ordered += images[led]
+    assert np.array_equal(im_ab, ordered)
+    im_a = synthesize_multiplexed(images, pat_a)
+    im_b = synthesize_multiplexed(images, pat_b)
     assert np.max(np.abs(im_ab - im_a - im_b)) < 1e-12
 
 
@@ -274,7 +272,7 @@ def test_five_designed_patterns_yield_five_images():
     g = std_geometry()
     obj = phase_object(bump_field(256, seed=5, amplitude=0.6))
     pats = design_patterns(g, 0.1, 0.3)
-    images = [synthesize_multiplexed(obj, 0.5, pupil, p, g) for p in pats]
+    images = pattern_images(obj, 0.5, pupil, g, pats)
     assert len(images) == 5
     assert all(im.shape == (64, 64) for im in images)
 
@@ -324,7 +322,7 @@ def test_weak_object_linearization_matches_forward_model():
     Phi = crop_center_spectrum(fft2_unitary(phi), 64, 64)
     for side in ("up", "right"):
         pat = _half_disc_pattern(g, 0.1, side)
-        img = synthesize_multiplexed(obj, 0.5, pupil, pat, g)
+        img = pattern_images(obj, 0.5, pupil, g, [pat])[0]
         ihat = (img - img.mean()) / img.mean()
         S = fft2_unitary(ihat)
         H = phase_transfer_function(pat, pupil, 2.0, g)

@@ -3,24 +3,17 @@
 import numpy as np
 import pytest
 
-from conftest import bump_field
+from conftest import bump_field, pattern_images
 from phaseuq import recon
 from phaseuq.config import GeometryBlock, SfpmConfig
 from phaseuq.errors import (
     ConfigError,
     InsufficientGrid,
     NonFiniteInput,
-    SizeMismatch,
     ZeroMeanImage,
 )
 from phaseuq.grid import crop_center_spectrum, fft2_unitary, ifft2_unitary
-from phaseuq.optics import (
-    design_patterns,
-    forward_leds,
-    led_frequency,
-    make_pupil,
-    synthesize_multiplexed,
-)
+from phaseuq.optics import design_patterns, forward_leds, led_frequency, make_pupil
 from phaseuq.recon import (
     MeasurementStack,
     dpc_deconvolve,
@@ -212,16 +205,6 @@ def test_sfpm_config_validation():
         SfpmConfig(init="zeros")
 
 
-def test_stack_validation():
-    g = GeometryBlock(3, 3, 2.0, 60.0, LAM, 1, 1)
-    with pytest.raises(SizeMismatch):
-        MeasurementStack({}, g, NA_OBJ, 2.0)
-    with pytest.raises(SizeMismatch):
-        MeasurementStack({0: np.ones((8, 8)), 1: np.ones((4, 4))}, g, NA_OBJ, 2.0)
-    with pytest.raises(SizeMismatch):
-        MeasurementStack({0: np.ones((2, 8, 8)), 1: np.ones((2, 8, 8))}, g, NA_OBJ, 2.0)
-
-
 # ---- DPC ----
 
 
@@ -246,7 +229,7 @@ def band_limited_reference(phi, n_det, pitch_hi, n_hi):
 def test_dpc_flat_object_reconstructs_zero(dpc_setup):
     g, pupil, patterns = dpc_setup
     flat = np.ones((256, 256), dtype=complex)
-    imgs = [synthesize_multiplexed(flat, 0.5, pupil, p, g) for p in patterns]
+    imgs = pattern_images(flat, 0.5, pupil, g, patterns)
     rec = dpc_reconstruct(imgs, patterns, pupil, 2.0, g)
     assert np.max(np.abs(rec - rec.mean())) < 1e-6
 
@@ -255,7 +238,7 @@ def test_dpc_flat_object_reconstructs_zero(dpc_setup):
 def test_dpc_weak_phantom_accuracy(dpc_setup, seed):
     g, pupil, patterns = dpc_setup
     phi = signed_bumps(256, seed)
-    imgs = [synthesize_multiplexed(np.exp(1j * phi), 0.5, pupil, p, g) for p in patterns]
+    imgs = pattern_images(np.exp(1j * phi), 0.5, pupil, g, patterns)
     rec = dpc_reconstruct(imgs, patterns, pupil, 2.0, g, tikhonov_beta=0.1)
     ref, _ = band_limited_reference(phi, 64, 0.5, 256)
     err = subtract_mean_phase(rec) - subtract_mean_phase(ref)
@@ -272,7 +255,7 @@ def test_dpc_rejects_frequencies_beyond_twice_na(dpc_setup):
     phi = signed_bumps(n_hi, 2, amplitude=0.05) + 0.05 * np.cos(
         2 * np.pi * f_bin * xx / n_hi
     )[None, :].repeat(n_hi, axis=0)
-    imgs = [synthesize_multiplexed(np.exp(1j * phi), 0.5, pupil, p, g) for p in patterns]
+    imgs = pattern_images(np.exp(1j * phi), 0.5, pupil, g, patterns)
     rec = dpc_reconstruct(imgs, patterns, pupil, 1.0, g)
     spec = fft2_unitary(rec)
     peak = np.abs(spec[n_det // 2, n_det // 2 + f_bin])
@@ -301,7 +284,7 @@ def test_dpc_zero_mean_image_raises(dpc_setup):
 def test_dpc_determinism(dpc_setup):
     g, pupil, patterns = dpc_setup
     phi = signed_bumps(256, 9)
-    imgs = [synthesize_multiplexed(np.exp(1j * phi), 0.5, pupil, p, g) for p in patterns]
+    imgs = pattern_images(np.exp(1j * phi), 0.5, pupil, g, patterns)
     a = dpc_reconstruct(imgs, patterns, pupil, 2.0, g)
     b = dpc_reconstruct(imgs, patterns, pupil, 2.0, g)
     assert np.array_equal(a, b)

@@ -75,6 +75,10 @@ def test_tracer_counts_match_the_run_tree(tmp_path):
     assert count("uqstats.decompose_uncertainty", "work") == MEMBERS * pixels == 61_952
     for key in ("credibility_map", "credible_bound", "reliability_diagram"):
         assert count(f"uqstats.{key}", "calls") == 1, key
+    # simulate transforms the object once and forms each of the n_leds images once;
+    # the five pattern images are sums of those rows, and sfpm transforms twice
+    assert count("optics.synthesize_multiplexed", "calls") == 5
+    assert count("grid.fft", "calls") == 1 + n_leds + 2 == 84
 
     # one optimizer step per batch of the patches not held out, per epoch and member
     split, _ = read_tensor(next(tree.glob("preprocess-*")) / "patches_split.puqt")
