@@ -243,7 +243,21 @@ def test_forward_leds_match_tilted_plane_wave_reference():
 # ---- multiplexed synthesis ----
 
 
-def test_pattern_image_is_the_ordered_sum_of_its_led_images():
+def test_singleton_pattern_matches_single_led():
+    pupil = setup_simulation()
+    g = std_geometry()
+    phi = bump_field(256, seed=3, amplitude=0.8)
+    obj = phase_object(phi)
+    led = g.center_row * g.cols + g.center_col + 1
+    stack = forward_leds(obj, 0.5, pupil, [led_frequency(g, led)])
+    pat = IlluminationPattern("bf-x", (led,))
+    a = synthesize_multiplexed({led: stack[0]}, pat)
+    b = single_led(obj, 0.5, pupil, led_frequency(g, led))
+    # a singleton pattern is its LED's image, in a new array
+    assert np.array_equal(a, b) and not np.shares_memory(a, stack)
+
+
+def test_disjoint_pattern_additivity():
     pupil = setup_simulation()
     g = std_geometry()
     obj = phase_object(bump_field(256, seed=4, amplitude=0.5))
@@ -251,13 +265,11 @@ def test_pattern_image_is_the_ordered_sum_of_its_led_images():
     leds = [c + 1, c - 1, c + g.cols, c - g.cols - 1]
     stack = forward_leds(obj, 0.5, pupil, [led_frequency(g, led) for led in leds])
     images = dict(zip(leds, stack))
-    # a singleton pattern is its LED's image, in a new array
-    single = synthesize_multiplexed(images, IlluminationPattern("bf-x", (c + 1,)))
-    assert np.array_equal(single, images[c + 1]) and not np.shares_memory(single, stack)
     pat_a = IlluminationPattern("bf-a", (c + 1, c - 1))
     pat_b = IlluminationPattern("bf-b", (c + g.cols, c - g.cols - 1))
     pat_ab = IlluminationPattern("bf-ab", pat_a.leds + pat_b.leds)
     im_ab = synthesize_multiplexed(images, pat_ab)
+    # the pattern image is the sum of its LED images, added in pattern order
     ordered = np.zeros(pupil.shape)
     for led in pat_ab.leds:
         ordered += images[led]
