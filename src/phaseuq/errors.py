@@ -73,10 +73,6 @@ class NonPositiveSigma(PhaseUqError):
     pass
 
 
-class BracketFailure(PhaseUqError):
-    pass
-
-
 class MissingArtifact(PhaseUqError):
     pass
 

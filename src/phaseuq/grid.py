@@ -75,17 +75,17 @@ def ifft2_unitary(X: np.ndarray) -> np.ndarray:
     return fft.fftshift(fft.ifft2(fft.ifftshift(X), norm="ortho"))
 
 
-def swap_quadrants(x: np.ndarray) -> np.ndarray:
+def swap_quadrants(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Copy of an even-sided 2D array with its quadrants swapped diagonally.
 
     For even sides fftshift and ifftshift are this same swap, so it moves a
     centered spectrum (or field) to the FFT's own layout, DC at (0, 0), and
-    back again.
+    back again. It is written into out, if given, which must not overlap x.
     """
     h, w = x.shape
     _check_even(h, w)
     a, b = h // 2, w // 2
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     out[:a, :b] = x[a:, b:]
     out[:a, b:] = x[a:, :b]
     out[a:, :b] = x[:a, b:]
@@ -147,15 +147,14 @@ def _catmull_rom(x: np.ndarray) -> np.ndarray:
 
 def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     """Row-stochastic interpolation matrix for one axis, edges clamped."""
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+    i0 = np.floor(src)
+    t = src - i0
+    # four taps per row; clamped taps that land on one column add up there
+    taps = np.clip(i0.astype(int)[:, None] + np.arange(-1, 3), 0, n_in - 1)
+    weights = _catmull_rom(np.stack([1.0 + t, t, 1.0 - t, 2.0 - t], axis=1))
     W = np.zeros((n_out, n_in))
-    scale = n_in / n_out
-    for i in range(n_out):
-        src = (i + 0.5) * scale - 0.5
-        i0 = math.floor(src)
-        t = src - i0
-        taps = np.array([i0 - 1, i0, i0 + 1, i0 + 2])
-        weights = _catmull_rom(np.array([1.0 + t, t, 1.0 - t, 2.0 - t]))
-        np.add.at(W[i], np.clip(taps, 0, n_in - 1), weights)
+    np.add.at(W, (np.repeat(np.arange(n_out), 4), taps.ravel()), weights.ravel())
     return W
 
 

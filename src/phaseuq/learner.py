@@ -3,8 +3,8 @@
 Fixed architecture, channels 5 -> 16 -> 32 -> 16 -> 2 with 3x3 kernels,
 same zero-padding, ReLU between layers, and one channel-dropout site
 after the second convolution. The two output channels parameterize a
-per-pixel Laplacian: mean mu and log-scale s. A predicted map holds mu
-and the scale sigma = exp(s), exponentiated once, in ``forward``.
+per-pixel Laplacian: mean mu and log-scale s. ``forward`` returns the
+arrays mu and sigma = exp(s), exponentiated once, as a pair.
 
 The training set is a ``Dataset`` of three arrays: inputs (K, 5, H, W),
 targets (K, H, W) and a boolean validation flag per patch. Training fits
@@ -481,23 +481,25 @@ def init_params(seed: int) -> RegressorParams:
     return RegressorParams(*tensors)
 
 
-def forward(params: RegressorParams, inputs, ws: Workspace | None = None) -> PredictiveMap:
-    """Deterministic prediction for one (5, H, W) stack; dropout is off.
+def forward(params: RegressorParams, inputs, ws: Workspace | None = None) -> tuple:
+    """Deterministic (mu, sigma) for one (5, H, W) stack; dropout is off.
 
     Runs in the caller's workspace ws when one is given, built for one
-    H x W sample, else in a fresh one. The result owns its arrays.
+    H x W sample, else in a fresh one. The result owns its arrays, unchecked.
     """
     arr = _check_stack(inputs)
     out, _, _ = _forward_cols(params.as_list(), arr[None], None, ws)
     mu, s = out[:, 0]
-    return PredictiveMap(RealRaster(mu.copy()), RealRaster(np.exp(s)))
+    return mu.copy(), np.exp(s)
 
 
-def nll_loss(pred: PredictiveMap, target: np.ndarray) -> float:
-    if pred.mu.shape != target.shape:
-        raise ShapeMismatch(f"prediction {pred.mu.shape} vs target {target.shape}")
-    r = target - pred.mu.data
-    s = np.log(pred.sigma.data)
+def nll_loss(pred: tuple[np.ndarray, np.ndarray], target: np.ndarray) -> float:
+    """Mean Laplace NLL of target under pred, a (mu, sigma) pair as ``forward`` returns."""
+    mu, sigma = pred
+    if mu.shape != target.shape:
+        raise ShapeMismatch(f"prediction {mu.shape} vs target {target.shape}")
+    r = target - mu
+    s = np.log(sigma)
     return float(np.mean(np.abs(r) * np.exp(-s) + s) + LOG2)
 
 
@@ -596,4 +598,4 @@ def predict_ensemble(models, inputs) -> PredictiveEnsemble:
     if not models:
         raise SizeMismatch("need at least one model")
     maps = [forward(p, inputs) for p in models]
-    return PredictiveEnsemble(tuple(maps))
+    return PredictiveEnsemble(tuple(PredictiveMap(RealRaster(m), RealRaster(s)) for m, s in maps))

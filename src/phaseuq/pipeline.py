@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     MaskTooSmall,
     MissingArtifact,
+    NonFiniteInput,
     NonPositiveSigma,
     ShapeMismatch,
     ZeroMeanImage,
@@ -460,11 +461,11 @@ def predict_stage(
         ws = Workspace(1, *xs.shape[2:])
         for k, x in enumerate(xs):
             # this module's forward, looked up per patch, so a wrapper set on it sees each call
-            pred = forward(members[p], x, ws)
-            mu[p, k] = pred.mu.data
-            sigma[p, k] = pred.sigma.data
+            mu[p, k], sigma[p, k] = forward(members[p], x, ws)
 
     run_members(predict_member, range(len(members)))
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise NonFiniteInput(f"{train_dir}: a member predicts non-finite mu or sigma")
 
     inputs = {"preprocess": preprocess_dir, "train": train_dir}
     with _run(out_root, "predict", cfg, inputs, export_pgm=export_pgm) as run:

@@ -122,27 +122,32 @@ def sfpm_reconstruct(
         for led in order
     }
 
+    # buffers every update reuses; it does the same operations as on fresh arrays
+    W = np.empty((n_r, n_c), dtype=complex)
+    Psi = np.empty_like(W)
+    mag = np.empty((n_r, n_c))
     for _ in range(cfg.epochs):
         misfit = 0.0
         for led in order:
             r0, c0 = windows[led]
             window = O[r0 : r0 + n_r, c0 : c0 + n_c]
-            W = swap_quadrants(window)
-            Psi = W * p_scaled
+            swap_quadrants(window, out=W)
+            np.multiply(W, p_scaled, out=Psi)
             psi = fft.ifft2(Psi, norm="ortho")
-            mag = np.abs(psi)
+            np.abs(psi, out=mag)
             target = sqrt_meas[led]
             misfit += float(np.sum((target - mag) ** 2))
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = target / mag
-                psi_new = psi * ratio
-            # |psi| = 0 (or so small the ratio overflows): keep the phase of psi
-            lost = ~np.isfinite(ratio)
-            if lost.any():
-                psi_new[lost] = target[lost] * np.exp(1j * np.angle(psi[lost]))
-            Psi_new = fft.fft2(psi_new, norm="ortho")
-            W += gain * (Psi_new - Psi)
-            window[...] = swap_quadrants(W)
+                ratio = np.divide(target, mag, out=mag)
+                # |psi| = 0 (or so small the ratio overflows): keep the phase of psi
+                lost = ~np.isfinite(ratio)
+                kept = target[lost] * np.exp(1j * np.angle(psi[lost])) if lost.any() else None
+                psi *= ratio
+            if kept is not None:
+                psi[lost] = kept
+            Psi_new = fft.fft2(psi, norm="ortho", overwrite_x=True)
+            W += np.multiply(gain, np.subtract(Psi_new, Psi, out=Psi_new), out=Psi_new)
+            swap_quadrants(W, out=window)
         if not math.isfinite(misfit):
             raise NonFiniteInput(f"sfpm misfit became {misfit} during an epoch")
         if residuals is not None:

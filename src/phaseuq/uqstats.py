@@ -3,8 +3,8 @@
 An ensemble of P per-pixel Laplace distributions (mu_p, sigma_p) is
 treated as an equal-weight mixture. This module computes the mixture
 mean, the variance decomposition into data and model parts, credibility
-maps p_i(eps) = P(|y - mu_hat| <= eps), credible-interval bounds by
-bisection, and reliability diagrams. Each member holds its mu and sigma
+maps p_i(eps) = P(|y - mu_hat| <= eps), credible-interval bounds, and
+reliability diagrams. Each member holds its mu and sigma
 as predicted, arrays of any one shape shared by all members (the pipeline
 passes a member's patches as one (patch, row, col) array); every result
 here is a plain ndarray of that shape (the decomposition a NamedTuple of
@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketFailure, NonFiniteInput, NonPositiveSigma
-from .learner import PredictiveEnsemble, PredictiveMap
+from .errors import NonFiniteInput, NonPositiveSigma
+from .learner import LOG2, PredictiveEnsemble, PredictiveMap
 
 __all__ = [
     "PredictiveEnsemble",
@@ -79,7 +79,7 @@ class ReliabilityDiagram:
 # ------------------------------------------------------------ internals
 
 # Pixels per block in credibility_map and credible_bound: a few member x
-# block arrays of float64 stay in cache through every bisection step.
+# block arrays of float64 stay in cache through every Newton step.
 _BLOCK_PIXELS = 16_384
 
 
@@ -104,27 +104,37 @@ def _blocks(mus, sigmas, mu_hat):
         yield block, a, inv_sigma
 
 
-def _interval_mass(a, inv_sigma, eps):
-    """Mixture mass of [mu_hat - eps, mu_hat + eps] for one pixel block.
+def _member_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over axis 0 summed row by row, as numpy does for 2+ columns but not for 1."""
+    return sum(x[1:], x[0]) / len(x)
 
-    Member p contributes P(|Z - a| <= t) for a standard Laplace Z, with
-    t = eps / sigma_p: 1 - (e^-|t-a| + e^-(t+a)) / 2 when the interval holds
-    mu_p (t >= a), else (e^-|t-a| - e^-(t+a)) / 2.
+
+def _mass_and_slope(a, inv_sigma, eps):
+    """Mixture mass of [mu_hat - eps, mu_hat + eps] for one pixel block, and its slope in eps.
+
+    Member p contributes P(|Z - a| <= t) for a standard Laplace Z, t = eps / sigma_p:
+    1 - (e^-|t-a| + e^-(t+a)) / 2 when the interval holds mu_p (t >= a), else
+    (e^-|t-a| - e^-(t+a)) / 2; its slope is (e^-|t-a| + e^-(t+a)) / (2 sigma_p).
     """
     t = eps * inv_sigma
     d = t - a
     far = np.add(t, a, out=t)
-    np.negative(far, out=far)
-    np.exp(far, out=far)
+    np.exp(np.negative(far, out=far), out=far)
     near = np.abs(d)
-    np.negative(near, out=near)
-    np.exp(near, out=near)
+    np.exp(np.negative(near, out=near), out=near)
+    slope = 0.5 * _member_mean((near + far) * inv_sigma)
     # both branches at once: [t >= a] - (sign(t - a) e^-|t-a| + e^-(t+a)) / 2
-    mass = np.copysign(near, d, out=near)
-    mass += far
-    mass *= -0.5
-    mass += d >= 0.0
-    return np.clip(mass.mean(axis=0), 0.0, 1.0)
+    mass = (np.copysign(near, d, out=near) + far) * -0.5 + (d >= 0.0)
+    return np.clip(_member_mean(mass), 0.0, 1.0), slope
+
+
+def _member_bounds(a, inv_sigma, p: float) -> np.ndarray:
+    """Each member's half-width eps = t sigma_p holding mass p of it alone: past
+    t = a, t = log(cosh a / (1 - p)), else asinh(p e^a), neither overflowing."""
+    inside = a + np.log1p(np.exp(-2.0 * a)) - LOG2 - math.log1p(-p)
+    log_x = a + math.log(p)  # asinh(x) = log(2x) to double precision past x = e^18.5
+    outside = np.where(log_x > 18.5, log_x + LOG2, np.arcsinh(np.exp(np.minimum(log_x, 18.5))))
+    return np.where(p >= -0.5 * np.expm1(-2.0 * a), inside, outside) / inv_sigma
 
 
 # ------------------------------------------------------------ operations
@@ -167,39 +177,51 @@ def credibility_map(ens: PredictiveEnsemble, epsilon: float) -> np.ndarray:
     mus, sigmas, mu_hat = _flat_stacks(ens)
     values = np.empty_like(mu_hat)
     for block, a, inv_sigma in _blocks(mus, sigmas, mu_hat):
-        values[block] = _interval_mass(a, inv_sigma, epsilon)
+        values[block] = _mass_and_slope(a, inv_sigma, epsilon)[0]
     return values.reshape(ens.members[0].mu.shape)
 
 
 def credible_bound(ens: PredictiveEnsemble, target_p: float, tol: float = 1e-6) -> np.ndarray:
     """Per-pixel interval half-width reaching the target credibility.
 
-    Bisection on the monotone map eps -> credibility, run to absolute
-    tolerance tol on eps. Returns the upper end of the final bracket, so
-    the reported bound never undershoots the target. Pixels are bisected
-    one block at a time, all for the same number of steps (set by the
-    widest bracket), so the result does not depend on the block size.
-    Callers pass a target_p in [0, 1), as ``AnalysisBlock`` holds it, and a
-    finite tol > 0.
+    Safeguarded Newton per pixel on log(1 - mass) = log(1 - p), near linear
+    in eps, from the largest member bound; the root lies above the smallest.
+    A step within w / 2 of the root, w = max(tol, 1e-12 eps), goes w / 2 past
+    it, and a pixel stops on its own at a bracket [lo, hi] w wide, returning
+    hi. Bisection (geometric) replaces a step that leaves the bracket, fails
+    to halve the last step (a cycle about a kink) or follows one that went
+    past the root in vain (a flat mass). target_p is in [0, 1), tol > 0.
     """
     mus, sigmas, mu_hat = _flat_stacks(ens)
     shape = ens.members[0].mu.shape
     if target_p == 0.0:
         return np.zeros(shape)
-    upper = 50.0 * sigmas.max(axis=0) + np.abs(mus - mu_hat).max(axis=0)
-    steps = int(math.ceil(math.log2(max(float(upper.max()), tol) / tol))) + 1
     bound = np.empty_like(mu_hat)
     for block, a, inv_sigma in _blocks(mus, sigmas, mu_hat):
-        hi = upper[block]
-        if np.any(_interval_mass(a, inv_sigma, hi) < target_p):
-            raise BracketFailure("upper bracket does not reach target credibility")
-        lo = np.zeros_like(hi)
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            below = _interval_mass(a, inv_sigma, mid) < target_p
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        bound[block] = hi
+        bounds = _member_bounds(a, inv_sigma, target_p)
+        x, lo, hi = bounds.max(axis=0), bounds.min(axis=0), np.full(a.shape[1], np.inf)
+        last = np.full_like(x, np.inf)  # the last Newton step's length; 0 if lengthened
+        out, idx = bound[block], np.arange(x.size)
+        while idx.size:
+            mass, slope = _mass_and_slope(a, inv_sigma, x)
+            below = mass < target_p
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            w = np.maximum(tol, 1e-12 * x)  # tol alone can be below the float spacing
+            out[idx] = hi  # final for the pixels done now, which leave the arrays
+            keep = np.flatnonzero(hi - lo > w)
+            idx, a, inv_sigma, x, lo, hi, w, below, mass, slope, last = (
+                v.take(keep, axis=-1)
+                for v in (idx, a, inv_sigma, x, lo, hi, w, below, mass, slope, last)
+            )
+            # a vanishing slope or tail makes the step inf or nan, so it is not taken
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                step = (np.log1p(-mass) - math.log1p(-target_p)) * (1.0 - mass) / slope
+            short = np.abs(step) < 0.5 * w
+            newton = x + np.where(short, step + np.where(below, 0.5, -0.5) * w, step)
+            newton_ok = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) < last)
+            mid = np.sqrt(np.maximum(lo, tol)) * np.sqrt(hi)  # inside, as hi - lo > w >= tol
+            x = np.where(newton_ok, newton, np.where(np.isinf(hi), 2.0 * lo + w, mid))
+            last = np.where(newton_ok, np.where(short, 0.0, np.abs(step)), np.inf)
     return bound.reshape(shape)
 
 

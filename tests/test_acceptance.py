@@ -247,8 +247,8 @@ def test_05_sigma_head_recovers_noise_scale():
     params = train(hetero_dataset(64, seed=0), cfg)
     ratios = []
     for inputs, sig_true, _ in hetero_holdout(32):
-        pred = forward(params, inputs)
-        ratios.append((pred.sigma.data / sig_true).ravel())
+        _, sigma = forward(params, inputs)
+        ratios.append((sigma / sig_true).ravel())
     ratios = np.concatenate(ratios)
     frac = float(np.mean((ratios >= 0.5) & (ratios <= 2.0)))
 

@@ -307,9 +307,9 @@ def test_predict_independent_of_pool_size(chain, cfg, tmp_path, monkeypatch):
     paths = sorted(chain["train"].glob("checkpoint_*.puqt"))
     for p, params in enumerate(pipeline._load_checkpoint(path) for path in paths):
         for k, x in enumerate(xs):
-            pred = learner.forward(params, x)
-            assert np.array_equal(mu[p, k], pred.mu.data)
-            assert np.array_equal(sigma[p, k], pred.sigma.data)
+            want_mu, want_sigma = learner.forward(params, x)
+            assert np.array_equal(mu[p, k], want_mu)
+            assert np.array_equal(sigma[p, k], want_sigma)
 
 
 def test_predict_pins_and_restores_blas_threads(chain, cfg, tmp_path, blas_threads, monkeypatch):
@@ -320,6 +320,20 @@ def test_predict_pins_and_restores_blas_threads(chain, cfg, tmp_path, blas_threa
     pipeline.predict_stage(cfg, tmp_path, chain["preprocess"], chain["train"])
     assert during == [1] * PREDICT_CALLS
     assert get() == 2
+
+
+def test_predict_rejects_non_finite_predictions(chain, cfg, tmp_path, monkeypatch):
+    """forward's arrays are unchecked; predict checks the stacked maps once."""
+    real = pipeline.forward
+
+    def nan_sigma(params, x, ws=None):
+        mu, sigma = real(params, x, ws)
+        return mu, np.full_like(sigma, np.nan)
+
+    monkeypatch.setattr(pipeline, "forward", nan_sigma)
+    with pytest.raises(NonFiniteInput):
+        pipeline.predict_stage(cfg, tmp_path, chain["preprocess"], chain["train"])
+    assert not list(tmp_path.glob("predict-*"))
 
 
 def test_predict_member_error_propagates_and_restores(

@@ -1,8 +1,11 @@
 """Centered-FFT contracts on plain arrays: unitarity, crop/embed laws, resizing."""
 
+import math
+
 import numpy as np
 import pytest
 
+from phaseuq import grid
 from phaseuq.errors import NonFiniteInput, SizeMismatch
 from phaseuq.grid import (
     RealRaster,
@@ -72,6 +75,9 @@ def test_swap_quadrants_is_both_shifts_for_even_sides():
     np.testing.assert_array_equal(swap_quadrants(x), np.fft.fftshift(x))
     np.testing.assert_array_equal(swap_quadrants(x), np.fft.ifftshift(x))
     np.testing.assert_array_equal(swap_quadrants(swap_quadrants(x)), x)
+    buf = np.empty_like(x)
+    assert swap_quadrants(x, out=buf) is buf
+    np.testing.assert_array_equal(buf, np.fft.fftshift(x))
     with pytest.raises(SizeMismatch):
         swap_quadrants(np.zeros((5, 4)))
 
@@ -151,3 +157,20 @@ def test_resize_reproduces_linear_ramp_interior():
     cols = np.arange(4, 2 * n - 5)
     expect = 0.5 + 0.25 * (cols / 2 - 0.25)
     assert np.max(np.abs(up[:, cols] - expect)) < 1e-12
+
+
+def _resize_matrix_by_rows(n_in, n_out):
+    """The interpolation matrix built one row at a time, for reference."""
+    W = np.zeros((n_out, n_in))
+    for i in range(n_out):
+        src = (i + 0.5) * (n_in / n_out) - 0.5
+        i0 = math.floor(src)
+        t = src - i0
+        weights = grid._catmull_rom(np.array([1.0 + t, t, 1.0 - t, 2.0 - t]))
+        np.add.at(W[i], np.clip([i0 - 1, i0, i0 + 1, i0 + 2], 0, n_in - 1), weights)
+    return W
+
+
+@pytest.mark.parametrize("n_in,n_out", [(32, 128), (128, 512), (128, 128), (64, 128), (7, 5)])
+def test_resize_matrix_matches_row_by_row(n_in, n_out):
+    assert np.array_equal(grid._resize_matrix(n_in, n_out), _resize_matrix_by_rows(n_in, n_out))

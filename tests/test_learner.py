@@ -19,11 +19,9 @@ from phaseuq.errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from phaseuq.grid import RealRaster
 from phaseuq.learner import (
     CHANNELS,
     Dataset,
-    PredictiveMap,
     RegressorParams,
     Workspace,
     backward,
@@ -110,19 +108,18 @@ def test_init_zero_biases():
 
 
 def test_forward_two_channel_output():
-    pred = forward(init_params(0), np.random.default_rng(0).normal(size=(5, 12, 12)))
-    assert isinstance(pred, PredictiveMap)
-    assert pred.mu.shape == (12, 12)
-    assert pred.sigma.shape == (12, 12)
-    assert np.all(pred.sigma.data > 0.0)
+    mu, sigma = forward(init_params(0), np.random.default_rng(0).normal(size=(5, 12, 12)))
+    assert mu.shape == (12, 12)
+    assert sigma.shape == (12, 12)
+    assert np.all(sigma > 0.0)
 
 
 def test_forward_deterministic_without_dropout():
     x = np.random.default_rng(1).normal(size=(5, 10, 10))
     params = init_params(4)
-    a, b = forward(params, x), forward(params, x)
-    assert np.array_equal(a.mu.data, b.mu.data)
-    assert np.array_equal(a.sigma.data, b.sigma.data)
+    (mu_a, sigma_a), (mu_b, sigma_b) = forward(params, x), forward(params, x)
+    assert np.array_equal(mu_a, mu_b)
+    assert np.array_equal(sigma_a, sigma_b)
 
 
 def test_forward_rejects_wrong_stack():
@@ -141,8 +138,7 @@ def test_backward_dropout_needs_seed():
 def test_nll_zero_at_matching_half_sigma():
     n = 8
     mu = np.random.default_rng(0).normal(size=(n, n))
-    pred = PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), 0.5)))
-    assert abs(nll_loss(pred, mu)) < 1e-12
+    assert abs(nll_loss((mu, np.full((n, n), 0.5)), mu)) < 1e-12
 
 
 def test_nll_minimized_at_sigma_equal_residual():
@@ -157,15 +153,14 @@ def test_nll_minimized_at_sigma_equal_residual():
 def test_nll_doubling_sigma_adds_log2():
     n = 6
     mu = np.zeros((n, n))
-    lo = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.ones((n, n)))), mu)
-    hi = nll_loss(PredictiveMap(RealRaster(mu), RealRaster(np.full((n, n), 2.0))), mu)
+    lo = nll_loss((mu, np.ones((n, n))), mu)
+    hi = nll_loss((mu, np.full((n, n), 2.0)), mu)
     assert abs(hi - lo - math.log(2.0)) < 1e-12
 
 
 def test_nll_shape_mismatch():
-    pred = PredictiveMap(RealRaster(np.zeros((4, 4))), RealRaster(np.ones((4, 4))))
     with pytest.raises(ShapeMismatch):
-        nll_loss(pred, np.zeros((5, 4)))
+        nll_loss((np.zeros((4, 4)), np.ones((4, 4))), np.zeros((5, 4)))
 
 
 # ---------------------------------------------------------------- backward
@@ -306,10 +301,10 @@ def test_forward_and_backward_results_do_not_alias_buffers():
     y1, y2 = rng.normal(size=(2, 12, 12))
     pred = forward(params, x1)
     grads, _ = backward(params, x1, y1, dropout_rate=0.5, dropout_seed=1)
-    kept = [a.copy() for a in (pred.mu.data, pred.sigma.data, *grads.as_list())]
+    kept = [a.copy() for a in (*pred, *grads.as_list())]
     forward(params, x2)
     backward(params, x2, y2, dropout_rate=0.5, dropout_seed=2)
-    after = (pred.mu.data, pred.sigma.data, *grads.as_list())
+    after = (*pred, *grads.as_list())
     for a, b in zip(kept, after):
         assert np.array_equal(a, b)
 
@@ -350,9 +345,9 @@ def test_forward_in_a_held_workspace_matches_fresh_workspaces():
     ws = Workspace(1, 12, 12)
     for x in patches * 2:
         for params in members:
-            got, want = forward(params, x, ws), forward(params, x)
-            assert np.array_equal(got.mu.data, want.mu.data)
-            assert np.array_equal(got.sigma.data, want.sigma.data)
+            (got_mu, got_sigma), (want_mu, want_sigma) = forward(params, x, ws), forward(params, x)
+            assert np.array_equal(got_mu, want_mu)
+            assert np.array_equal(got_sigma, want_sigma)
 
 
 def test_forward_result_does_not_alias_its_workspace():
@@ -360,14 +355,14 @@ def test_forward_result_does_not_alias_its_workspace():
     params = init_params(13)
     x1, x2 = rng.normal(size=(2, 5, 12, 12))
     ws = Workspace(1, 12, 12)
-    pred = forward(params, x1, ws)
-    kept = pred.mu.data.copy(), pred.sigma.data.copy()
+    mu, sigma = forward(params, x1, ws)
+    kept = mu.copy(), sigma.copy()
     forward(params, x2, ws)
-    assert np.array_equal(pred.mu.data, kept[0])
-    assert np.array_equal(pred.sigma.data, kept[1])
+    assert np.array_equal(mu, kept[0])
+    assert np.array_equal(sigma, kept[1])
     for buf in (ws.pad, *ws.cols, *ws.z, *ws.acts):
-        assert not np.shares_memory(pred.mu.data, buf)
-        assert not np.shares_memory(pred.sigma.data, buf)
+        assert not np.shares_memory(mu, buf)
+        assert not np.shares_memory(sigma, buf)
 
 
 def test_dropout_masked_channel_gets_zero_gradient():
@@ -425,8 +420,8 @@ def test_toy_identity_validation_mae(toy_run):
     ds, params, _ = toy_run
     errs = []
     for x, y in zip(ds.inputs[ds.validation], ds.targets[ds.validation]):
-        pred = forward(params, x)
-        errs.append(np.abs(pred.mu.data - y).mean())
+        mu, _ = forward(params, x)
+        errs.append(np.abs(mu - y).mean())
     assert np.mean(errs) < 0.02
 
 
@@ -456,7 +451,7 @@ def test_train_sigma_tracks_injected_noise():
     params = train(ds, TrainConfig(lr=5e-3, epochs=100, dropout_rate=0.1, seed=2))
     sig_hat, sig_true = [], []
     for inputs, sig, _ in hetero_holdout(n_val=8, base_seed=4000):
-        sig_hat.append(forward(params, inputs).sigma.data.ravel())
+        sig_hat.append(forward(params, inputs)[1].ravel())
         sig_true.append(sig.ravel())
     rho = np.corrcoef(np.concatenate(sig_hat), np.concatenate(sig_true))[0, 1]
     assert rho > 0.8

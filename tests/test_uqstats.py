@@ -242,6 +242,109 @@ def test_bound_monotone_in_target():
         assert np.all(b >= a - 1e-9)
 
 
+def _assert_tight(ens, bound, target, tol=1e-6):
+    """mass(bound) >= target, and mass falls short max(2 tol, 1e-9 bound) lower.
+
+    The mass here comes from laplace_cdf, which rounds apart from
+    credible_bound's own by up to a few 1e-16.
+    """
+    assert np.all(_credibility_of(ens, bound) >= target - 1e-12)
+    shrink = np.maximum(2.0 * tol, 1e-9 * bound)
+    assert np.all(_credibility_of(ens, bound - shrink) < target)
+
+
+def test_bound_identical_members():
+    # every member bound is the same, so the bracket starts zero wide
+    rng = np.random.default_rng(15)
+    member = mk_map(rng.normal(size=(6, 6)), rng.uniform(0.1, 2.0, (6, 6)))
+    for target in (0.3, 0.9, 0.98):
+        ens = mk_ensemble([member] * 3)
+        bound = credible_bound(ens, target)
+        _assert_tight(ens, bound, target)
+        single = credible_bound(mk_ensemble([member]), target)
+        assert np.max(np.abs(bound - single)) <= 1e-6
+
+
+def huge_sigma_ensemble(*bigs):
+    """Four members over 16 x 16 pixels; the last ones have sigma = bigs at a third of them."""
+    rng = np.random.default_rng(16)
+    shape = (16, 16)
+    sigmas = [rng.uniform(0.01, 0.3, shape) for _ in range(4)]
+    for sigma, big in zip(sigmas[::-1], bigs):
+        sigma[::3, ::2] = big
+    return mk_ensemble([mk_map(rng.normal(0.5, 0.2, shape), sigma) for sigma in sigmas])
+
+
+def test_bound_with_members_at_huge_sigma():
+    # near 1e63 a bracket tol wide is below the float spacing of the bound,
+    # so there the bound is tight to 1e-9 of itself
+    ens = huge_sigma_ensemble(1e9, 1e63)
+    for target in (0.5, 0.9, 0.98):
+        bound = credible_bound(ens, target)
+        if target > 0.75:
+            assert bound.max() > 1e62
+        _assert_tight(ens, bound, target)
+
+
+def test_bound_evaluations_do_not_grow_with_sigma_range(monkeypatch):
+    # bisection from 50 sigma_max took about log2(50 sigma_max / tol) mass
+    # evaluations per block: 27, 57 and 236 for these three ensembles
+    calls = []
+    real = uqstats._mass_and_slope
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(uqstats, "_mass_and_slope", counting)
+    for big in (1.0, 1e9, 1e63):
+        ens = huge_sigma_ensemble(big)
+        for target in (0.5, 0.9, 0.98):
+            calls.clear()
+            bound = credible_bound(ens, target)
+            assert len(calls) <= 20, (big, target, len(calls))
+            _assert_tight(ens, bound, target)
+
+
+def _member_mass(t, a):
+    """Mass of [-t, t] under Laplace(a, 1), from its CDF."""
+    return laplace_cdf(t, a, 1.0) - laplace_cdf(-t, a, 1.0)
+
+
+def test_member_bound_closed_forms_match_bisection():
+    # p below the member's mass at t = a takes the asinh branch, above it log cosh
+    for a in (0.0, 0.3, 2.0, 30.0, 800.0):
+        for p in (0.05, 0.3, 0.6, 0.98):
+            got = float(uqstats._member_bounds(np.array([[a]]), np.array([[1.0]]), p)[0, 0])
+            lo, hi = 0.0, a + 100.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _member_mass(mid, a) < p else (lo, mid)
+            assert abs(got - hi) <= 1e-12 * max(1.0, hi), (a, p, got, hi)
+
+
+def _bisected_bound(ens, target, tol):
+    """credible_bound as plain bisection from 50 sigma_max, for reference."""
+    mus = np.stack([m.mu.data for m in ens.members])
+    sigmas = np.stack([m.sigma.data for m in ens.members])
+    upper = 50.0 * sigmas.max(axis=0) + np.abs(mus - mus.mean(axis=0)).max(axis=0)
+    lo, hi = np.zeros_like(upper), upper
+    for _ in range(math.ceil(math.log2(upper.max() / tol)) + 1):
+        mid = 0.5 * (lo + hi)
+        below = _credibility_of(ens, mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return hi
+
+
+def test_bound_matches_plain_bisection():
+    tol = 1e-6
+    for seed in (0, 1, 2):
+        ens = random_ensemble(seed, n=16, p=5)
+        for target in (0.1, 0.5, 0.9, 0.98):
+            got = credible_bound(ens, target, tol=tol)
+            assert np.max(np.abs(got - _bisected_bound(ens, target, tol))) <= tol
+
+
 # ------------------------------------------------------ blockwise evaluation
 
 
@@ -259,16 +362,22 @@ def wide_ensemble():
 
 
 def test_blockwise_outputs_independent_of_block_size(monkeypatch):
-    ens = wide_ensemble()
-    runs = []
-    for block in (uqstats._BLOCK_PIXELS, 1000, 7):
-        monkeypatch.setattr(uqstats, "_BLOCK_PIXELS", block)
-        runs.append(
-            (credibility_map(ens, 0.05), credible_bound(ens, 0.9))
-        )
-    for cmap, bound in runs[1:]:
-        assert cmap.tobytes() == runs[0][0].tobytes()
-        assert bound.tobytes() == runs[0][1].tobytes()
+    # nine members too: numpy sums nine rows of one column in another order
+    # than nine rows of many, and a bound's last pixels run as one column
+    rng = np.random.default_rng(17)
+    nine = mk_ensemble(
+        [mk_map(rng.normal(0.5, 0.2, (45, 37)), rng.uniform(0.01, 0.3, (45, 37))) for _ in range(9)]
+    )
+    for ens in (wide_ensemble(), nine):
+        runs = []
+        for block in (uqstats._BLOCK_PIXELS, 1000, 7):
+            monkeypatch.setattr(uqstats, "_BLOCK_PIXELS", block)
+            runs.append(
+                (credibility_map(ens, 0.05), credible_bound(ens, 0.9))
+            )
+        for cmap, bound in runs[1:]:
+            assert cmap.tobytes() == runs[0][0].tobytes()
+            assert bound.tobytes() == runs[0][1].tobytes()
 
 
 def test_credibility_matches_laplace_cdf_mixture():
