@@ -7,7 +7,12 @@ container of the mu and sigma arrays of a predicted map in ``learner``.
 
 All spectra in this package live on centered grids: the DC sample of an
 ``n``-point axis sits at index ``n // 2``, and transforms are unitary
-(``norm="ortho"``), so energy is preserved to machine precision.
+(``norm="ortho"``), so energy is preserved to machine precision.  They run
+on numpy.fft in scipy.fft's own pass order, which gives scipy's bytes for
+complex input without importing scipy.fft: an unnormalized pass along
+axis 0, the real and imaginary parts each multiplied by
+``float(1 / sqrt(longdouble(h * w)))``, then an unnormalized pass along
+axis 1.  Real input is transformed as complex.
 
 Cropping or embedding a centered spectrum moves a field between sampling
 grids.  Both carry an amplitude factor ``sqrt(out_elems / in_elems)`` chosen
@@ -59,20 +64,27 @@ def _check_fft_input(x: np.ndarray) -> None:
         raise SizeMismatch(f"transform needs a 2D array with sides >= 2, got {x.shape}")
 
 
+def _fft2_ortho(
+    x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unshifted 2D FFT (or inverse) with norm="ortho", into out if given (it may be x)."""
+    one_pass, norm = (np.fft.ifft, "forward") if inverse else (np.fft.fft, "backward")
+    X = one_pass(x, axis=0, norm=norm, out=out)
+    parts = X.view(np.float64)
+    parts *= float(1 / np.sqrt(np.longdouble(x.size)))
+    return one_pass(X, axis=1, norm=norm, out=X)
+
+
 def fft2_unitary(x: np.ndarray) -> np.ndarray:
     """Centered unitary 2D FFT: DC lands at index (h//2, w//2)."""
-    from scipy import fft  # loaded on first use: most stages never transform
-
     _check_fft_input(x)
-    return fft.fftshift(fft.fft2(fft.ifftshift(x), norm="ortho"))
+    return np.fft.fftshift(_fft2_ortho(np.fft.ifftshift(x)))
 
 
 def ifft2_unitary(X: np.ndarray) -> np.ndarray:
     """Inverse of fft2_unitary."""
-    from scipy import fft
-
     _check_fft_input(X)
-    return fft.fftshift(fft.ifft2(fft.ifftshift(X), norm="ortho"))
+    return np.fft.fftshift(_fft2_ortho(np.fft.ifftshift(X), inverse=True))
 
 
 def swap_quadrants(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

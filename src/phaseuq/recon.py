@@ -5,7 +5,7 @@ Both reconstructors consume intensities produced by the optics forward model
 and share its spectrum-window convention (window centred at -u_led, the
 unscattered beam crossing the pupil at +u_led).  The SFPM LED loop keeps that
 convention at its boundary but runs in the FFT's own unshifted layout, calling
-scipy.fft directly, which is loaded on the first reconstruction.
+grid's unshifted unitary transform directly.
 
 Images, pupils and fields are plain 2D ndarrays.  The detector pixel pitch
 travels as a float: in ``MeasurementStack`` for sfpm, whose pupil and LED
@@ -23,6 +23,7 @@ import numpy as np
 from .config import GeometryBlock, SfpmConfig
 from .errors import InsufficientGrid, NonFiniteInput, ZeroMeanImage
 from .grid import (
+    _fft2_ortho,
     embed_center_spectrum,
     fft2_unitary,
     ifft2_unitary,
@@ -83,8 +84,6 @@ def sfpm_reconstruct(
     pupil, its gain and sqrt(I_j) are swapped once before the loop.  This
     needs even detector sides.
     """
-    from scipy import fft
-
     g = stack.geometry
     n_r, n_c = next(iter(stack.images.values())).shape
     N_r, N_c = hires_shape
@@ -133,7 +132,7 @@ def sfpm_reconstruct(
             window = O[r0 : r0 + n_r, c0 : c0 + n_c]
             swap_quadrants(window, out=W)
             np.multiply(W, p_scaled, out=Psi)
-            psi = fft.ifft2(Psi, norm="ortho")
+            psi = _fft2_ortho(Psi, inverse=True)
             np.abs(psi, out=mag)
             target = sqrt_meas[led]
             misfit += float(np.sum((target - mag) ** 2))
@@ -145,7 +144,7 @@ def sfpm_reconstruct(
                 psi *= ratio
             if kept is not None:
                 psi[lost] = kept
-            Psi_new = fft.fft2(psi, norm="ortho", overwrite_x=True)
+            Psi_new = _fft2_ortho(psi, out=psi)
             W += np.multiply(gain, np.subtract(Psi_new, Psi, out=Psi_new), out=Psi_new)
             swap_quadrants(W, out=window)
         if not math.isfinite(misfit):

@@ -31,7 +31,8 @@ _DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _CODE_OF = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 
 
-def _encode(array: np.ndarray, metadata: str) -> bytes:
+def _encode(array: np.ndarray, metadata: str) -> list:
+    """The record as buffers to write in turn: header bytes, the payload array, metadata bytes."""
     array = np.asarray(array)
     if array.dtype not in _CODE_OF:
         raise FormatError(f"unsupported dtype {array.dtype}, use float32 or float64")
@@ -42,13 +43,13 @@ def _encode(array: np.ndarray, metadata: str) -> bytes:
     if any(d > 0xFFFFFFFF or d < 1 for d in array.shape):
         raise FormatError(f"dims {array.shape} do not fit u32 or are empty")
     code = _CODE_OF[array.dtype]
-    blob = MAGIC + struct.pack("<BBB", VERSION, code, array.ndim)
-    blob += struct.pack(f"<{array.ndim}I", *array.shape)
-    blob += np.ascontiguousarray(array, dtype=_DTYPE_CODES[code]).tobytes()
+    header = MAGIC + struct.pack(f"<BBB{array.ndim}I", VERSION, code, array.ndim, *array.shape)
+    payload = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
+    meta = b""
     if metadata:
         enc = metadata.encode("utf-8")
-        blob += struct.pack("<I", len(enc)) + enc
-    return blob
+        meta = struct.pack("<I", len(enc)) + enc
+    return [header, payload, meta]
 
 
 def _decode(blob: bytes, offset: int, path) -> tuple[np.ndarray, str, int]:
@@ -102,7 +103,7 @@ def _decode(blob: bytes, offset: int, path) -> tuple[np.ndarray, str, int]:
 def write_tensor(path, array: np.ndarray, metadata: str = "") -> None:
     """Serialize one float32/float64 array; row-major, little-endian."""
     with open(path, "wb") as fh:
-        fh.write(_encode(array, metadata))
+        fh.writelines(_encode(array, metadata))
 
 
 def read_tensor(path) -> tuple[np.ndarray, str]:
@@ -121,16 +122,16 @@ def write_records(path, records) -> None:
     The record name goes on the first metadata line; nonempty text
     follows on later lines. Names must be nonempty and single-line.
     """
-    blob = b""
+    buffers = []
     for name, array, text in records:
         if not name or "\n" in name:
             raise FormatError(f"record name {name!r} must be nonempty, single line")
         metadata = f"{name}\n{text}" if text else name
-        blob += _encode(array, metadata)
-    if not blob:
+        buffers += _encode(array, metadata)
+    if not buffers:
         raise FormatError("no records to write")
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.writelines(buffers)
 
 
 def read_records(path) -> list[tuple[str, np.ndarray, str]]:

@@ -912,6 +912,27 @@ def test_cli_import_loads_no_transform_modules():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_transforming_stages_load_no_scipy_fft(tmp_path):
+    """simulate, sfpm, dpc and preprocess transform without loading scipy.fft."""
+    out = tmp_path / "r"
+    paths = f"simulate_dir {out / 'simulate-001'}\n  recon_dir {out / 'sfpm-001'}"
+    config = _write_cfg(tmp_path, SMALL + f"paths {{\n  {paths}\n}}\n")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\nfrom phaseuq.cli import main\n"
+        "for stage in ('simulate', 'sfpm', 'dpc', 'preprocess'):\n"
+        f"    assert main([stage, '--config', {config!r}, '--out', {str(out)!r}]) == 0, stage\n"
+        "print('scipy.fft' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.stdout.split()[-1] == "False"
+
+
 def test_cli_error_line_is_single_line(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "r")])
     assert rc == 3

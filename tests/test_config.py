@@ -241,6 +241,44 @@ def test_tensor_roundtrip_float32(tmp_path):
     np.testing.assert_array_equal(a, b)
 
 
+def _concatenated_record(array, metadata):
+    """One record built as one bytes object by concatenation, for reference."""
+    code = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}[array.dtype]
+    blob = b"PUQT" + struct.pack("<BBB", 1, code, array.ndim)
+    blob += struct.pack(f"<{array.ndim}I", *array.shape)
+    blob += np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<")).tobytes()
+    if metadata:
+        enc = metadata.encode("utf-8")
+        blob += struct.pack("<I", len(enc)) + enc
+    return blob
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("meta", ["", "pitch 0.5\nleds 1 2"])
+def test_tensor_bytes_match_concatenated_record(tmp_path, dtype, rank, meta):
+    a = np.random.default_rng(rank).standard_normal((3, 4, 2, 5)[:rank]).astype(dtype)
+    path = tmp_path / "a.puqt"
+    for array in (a, a.T):  # a.T is not contiguous from rank 2 on
+        write_tensor(path, array, meta)
+        assert path.read_bytes() == _concatenated_record(array, meta)
+
+
+def test_records_bytes_match_concatenated_records(tmp_path):
+    rng = np.random.default_rng(5)
+    records = [
+        ("w", rng.standard_normal((3, 4)).T, ""),
+        ("b", rng.standard_normal(5).astype(np.float32), "lr 0.005"),
+        ("s", rng.standard_normal((2, 3, 2)), ""),
+    ]
+    path = tmp_path / "r.puqt"
+    write_records(path, records)
+    expected = b"".join(
+        _concatenated_record(a, f"{name}\n{text}" if text else name) for name, a, text in records
+    )
+    assert path.read_bytes() == expected
+
+
 def test_tensor_rejects_integer_payload(tmp_path):
     with pytest.raises(FormatError):
         write_tensor(tmp_path / "a.puqt", np.arange(4))

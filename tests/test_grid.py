@@ -63,6 +63,36 @@ def test_parseval_and_roundtrip(seed):
     assert np.max(np.abs(back - x)) < 1e-12
 
 
+def _scipy_centered(x, inverse=False):
+    """The centered transforms on scipy.fft, for reference."""
+    from scipy import fft
+
+    one = fft.ifft2 if inverse else fft.fft2
+    return fft.fftshift(one(fft.ifftshift(x), norm="ortho"))
+
+
+TRANSFORM_SHAPES = [(n, n) for n in range(2, 65, 2)] + [
+    (9, 9), (194, 194), (32, 48), (6, 10), (128, 128), (512, 512)
+]
+
+
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES, ids="{0[0]}x{0[1]}".format)
+def test_transforms_give_scipy_bytes_for_complex_input(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert fft2_unitary(x).tobytes() == _scipy_centered(x).tobytes()
+    assert ifft2_unitary(x).tobytes() == _scipy_centered(x, inverse=True).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 9), (32, 48), (128, 128)])
+def test_transforms_of_real_input_match_scipy(shape):
+    # scipy takes a real-to-complex path for real input; ours transforms it as complex
+    x = np.random.default_rng(shape[1]).standard_normal(shape)
+    for inverse, ours in ((False, fft2_unitary), (True, ifft2_unitary)):
+        ref = _scipy_centered(x, inverse)
+        assert np.max(np.abs(ours(x) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_freq_axis_layout():
     f = freq_axis(8, pitch=2.0)
     assert f[4] == 0.0
