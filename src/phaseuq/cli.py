@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -76,18 +77,6 @@ analysis {
 """
 
 _EXIT_CODES = {"ConfigError": 2, "MissingArtifact": 3, "ExistingArtifact": 4}
-
-_STAGE_INPUTS = {
-    "demo": (),
-    "simulate": (),
-    "sfpm": ("simulate_dir",),
-    "dpc": ("simulate_dir",),
-    "preprocess": ("simulate_dir", "recon_dir"),
-    "train": ("preprocess_dir",),
-    "predict": ("preprocess_dir", "train_dir"),
-    "analyze": ("preprocess_dir", "predict_dir"),
-    "stitch": ("preprocess_dir", "analyze_dir"),
-}
 
 _STAGE_HELP = {
     "simulate": "render a phantom and its coded-illumination measurements",
@@ -151,9 +140,12 @@ def _effective_config(cfg: ExperimentConfig, seed) -> ExperimentConfig:
     return dataclasses.replace(cfg, **updates)
 
 
-def _resolve_inputs(cfg: ExperimentConfig, command: str) -> list[Path]:
+def _resolve_inputs(cfg: ExperimentConfig, command: str, stage) -> list[Path]:
+    """The input runs named by the stage's ``*_dir`` parameters, from ``cfg.paths``."""
     dirs = []
-    for name in _STAGE_INPUTS[command]:
+    for name in inspect.signature(stage).parameters:
+        if not name.endswith("_dir"):
+            continue
         value = getattr(cfg.paths, name)
         if not value:
             raise ConfigError(f"paths.{name} is required for the {command} command")
@@ -176,7 +168,7 @@ def _dispatch(args) -> Path:
         raise ExistingArtifact(f"--out {out} exists and is not a directory")
     # looked up at call time, so a wrapper set on the pipeline module is what runs
     stage = getattr(pipeline, f"{command}_stage")
-    run = stage(cfg, out, *_resolve_inputs(cfg, command), export_pgm=args.export_pgm)
+    run = stage(cfg, out, *_resolve_inputs(cfg, command, stage), export_pgm=args.export_pgm)
     if command == "demo":
         sys.stdout.write((run / "demo_report.txt").read_text(encoding="utf-8"))
     return run

@@ -320,12 +320,8 @@ def parse_blocks(text: str) -> dict[str, dict[str, str]]:
 
 
 def _convert(block: str, key: str, kind: type, raw: str):
-    if kind is str:
-        return raw
     try:
-        if kind is int:
-            return int(raw)
-        return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{block}.{key}: cannot read {raw!r} as {kind.__name__}")
 

@@ -351,25 +351,25 @@ def _forward_cols(params, x, mask, ws=None):
 
     params holds the eight arrays in ``RegressorParams.as_list()`` order;
     mask is the (n, 32) dropout mask, or None for none. Returns the output
-    (2, n, h, w), the input and activations (x0, z1, a1, z2, d2, z3, a3),
-    and the four column matrices, which the backward pass reuses for the
+    (2, n, h, w), the pre-activations (z1, z2, z3), whose signs the backward
+    pass gates on, and the four column matrices, which it reuses for the
     kernel gradients. They live in the workspace ws, built for this call
     when none is given, and hold until its next use. Each layer is one
     ``_im2col``, one GEMM, one bias add and, below the top, one ReLU.
     """
     ws = _workspace_for(x, ws)
     a = _swap_nc(x)
-    acts, cols = [a], []
+    zs, cols = [], []
     for i, (views, z2d, z, act) in enumerate(ws.layer_views(x.shape[0])):
         cols.append(_im2col(a, views))
         _conv3(cols[i], params[2 * i], z2d)
         z2d += params[2 * i + 1][:, None]
         if act is None:
-            return z, tuple(acts), cols
+            return z, tuple(zs), cols
         a = np.maximum(z, 0.0, out=act)
         if i == 1 and mask is not None:
             a *= mask.T[:, :, None, None]
-        acts += [z, a]
+        zs.append(z)
 
 
 def _loss_and_grad_out(out, y):
@@ -393,7 +393,7 @@ def _backward_batch(params, x, y, mask, ws=None):
     Runs in the workspace ws, built for this call when none is given.
     """
     ws = _workspace_for(x, ws)
-    out, (_, z1, _, z2, _, z3, _), (c1, c2, c3, c4) = _forward_cols(params, x, mask, ws)
+    out, (z1, z2, z3), (c1, c2, c3, c4) = _forward_cols(params, x, mask, ws)
     loss, dout = _loss_and_grad_out(_swap_nc(out), y)
     if not math.isfinite(loss):
         raise DivergedLoss(f"loss became {loss}")

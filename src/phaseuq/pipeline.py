@@ -1,16 +1,18 @@
 """Staged experiment pipeline behind the command line.
 
-Every stage has the signature ``(cfg, out_root, *input_dirs, export_pgm=False)``:
-it reads tensors from earlier run directories and writes a fresh run
-directory ``<stage>-NNN`` under the output root. One context manager,
-``_run``, owns that protocol. Artifacts land in a hidden staging
-directory, the ``manifest.txt`` is written last (stage name,
-configuration hash, input run names, effective seeds, library versions),
-and only then is the next free ``NNN`` chosen and the staging directory
-renamed to it. A run that loses that name to a concurrent run on the same
-root takes the next one, an interrupted run leaves nothing behind, and
-existing runs are never touched. Timestamps and absolute paths stay out
-of every file, so identical invocations produce byte-identical trees.
+Every stage has the signature ``(cfg, out_root, *input_dirs, export_pgm=False)``,
+each input named after the ``PathsBlock`` field the command line reads it
+from (``simulate_dir``, ...). A stage reads tensors from earlier run
+directories and writes a fresh run directory ``<stage>-NNN`` under the
+output root. One context manager, ``_run``, owns that protocol. Artifacts
+land in a hidden staging directory, the ``manifest.txt`` is written last
+(stage name, configuration hash, input run names, effective seeds, library
+versions), and only then is the next free ``NNN`` chosen and the staging
+directory renamed to it. A run that loses that name to a concurrent run
+on the same root takes the next one, an interrupted run leaves nothing
+behind, and existing runs are never touched. Timestamps and absolute paths
+stay out of every file, so identical invocations produce byte-identical
+trees.
 """
 
 from __future__ import annotations
@@ -405,8 +407,10 @@ def train_stage(
     """Fit the deep ensemble on the training patches, one checkpoint each.
 
     Checkpoints have no 2-D preview, so export_pgm writes nothing here.
-    threads is accepted for older callers and ignored: ``train_ensemble``
-    sizes its own member thread pool from the CPUs this process may use.
+    threads is ignored: ``train_ensemble`` sizes its own member thread pool
+    from the CPUs this process may use. It stays only because
+    ``perfbench/test_perfbench_checks.py`` passes ``threads=1``, and goes
+    when the benchmark stops passing it.
     """
     t = cfg.train
     xs, _ = _load(preprocess_dir, "patches_inputs.puqt")

@@ -43,7 +43,11 @@ __all__ = [
     "dpc_reconstruct",
     "dpc_deconvolve",
     "subtract_mean_phase",
+    "DPC_BETA",
 ]
+
+# Tikhonov weight of the DPC inversion, relative to a unit passband response
+DPC_BETA = 0.1
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,9 @@ class MeasurementStack:
     pitch: float
 
 
-def subtract_mean_phase(phase: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Fix the global phase offset by zeroing the (masked) mean."""
-    ref = phase[mask] if mask is not None else phase
-    return phase - ref.mean()
+def subtract_mean_phase(phase: np.ndarray) -> np.ndarray:
+    """Fix the global phase offset by zeroing the mean."""
+    return phase - phase.mean()
 
 
 def sfpm_reconstruct(
@@ -155,21 +158,17 @@ def sfpm_reconstruct(
     return ifft2_unitary(O)
 
 
-def dpc_deconvolve(
-    normalized: list[np.ndarray],
-    transfer: list[np.ndarray],
-    beta: float = 0.1,
-) -> np.ndarray:
+def dpc_deconvolve(normalized: list[np.ndarray], transfer: list[np.ndarray]) -> np.ndarray:
     """Tikhonov-regularized linear inversion of mean-normalized intensities.
 
     Transfer functions are rescaled to unit peak magnitude (with the matching
-    rescale of each data spectrum) so beta is expressed relative to a unit
+    rescale of each data spectrum) so DPC_BETA is expressed relative to a unit
     passband response.  Linear in the input images, which come one per
     transfer function, all on one grid.
     """
     shape = normalized[0].shape
     num = np.zeros(shape, dtype=complex)
-    den = np.full(shape, float(beta))
+    den = np.full(shape, DPC_BETA)
     for img, tf in zip(normalized, transfer):
         peak = np.max(np.abs(tf))
         scale = peak if peak > 0 else 1.0
@@ -186,7 +185,6 @@ def dpc_reconstruct(
     pupil: np.ndarray,
     pitch: float,
     geometry: GeometryBlock,
-    tikhonov_beta: float = 0.1,
 ) -> np.ndarray:
     """One-shot weak-phase reconstruction from brightfield pattern images.
 
@@ -201,4 +199,4 @@ def dpc_reconstruct(
             raise ZeroMeanImage(f"image for pattern {pat.label!r} has non-positive mean")
         normalized.append((img - mean) / mean)
         transfer.append(phase_transfer_function(pat, pupil, pitch, geometry))
-    return dpc_deconvolve(normalized, transfer, tikhonov_beta)
+    return dpc_deconvolve(normalized, transfer)

@@ -36,7 +36,14 @@ __all__ = [
     "credibility_map",
     "credible_bound",
     "reliability_diagram",
+    "BOUND_TOL",
+    "MIN_BIN_COUNT",
 ]
+
+# credible_bound's absolute tolerance on the half-width
+BOUND_TOL = 1e-6
+# reliability bins with fewer pixels stay out of the summary statistics
+MIN_BIN_COUNT = 100
 
 
 # ---------------------------------------------------------------- types
@@ -60,9 +67,7 @@ class ReliabilityDiagram:
     credibility: np.ndarray  # nan in empty bins
     accuracy: np.ndarray  # nan in empty bins
     count: np.ndarray
-    populated: np.ndarray  # count >= min_count; only these enter summaries
-    epsilon: float
-    delta_p: float
+    populated: np.ndarray  # count >= MIN_BIN_COUNT; only these enter summaries
 
     def max_gap(self) -> float:
         """Largest |accuracy - credibility| over the populated bins."""
@@ -181,16 +186,16 @@ def credibility_map(ens: PredictiveEnsemble, epsilon: float) -> np.ndarray:
     return values.reshape(ens.members[0].mu.shape)
 
 
-def credible_bound(ens: PredictiveEnsemble, target_p: float, tol: float = 1e-6) -> np.ndarray:
+def credible_bound(ens: PredictiveEnsemble, target_p: float) -> np.ndarray:
     """Per-pixel interval half-width reaching the target credibility.
 
     Safeguarded Newton per pixel on log(1 - mass) = log(1 - p), near linear
     in eps, from the largest member bound; the root lies above the smallest.
-    A step within w / 2 of the root, w = max(tol, 1e-12 eps), goes w / 2 past
-    it, and a pixel stops on its own at a bracket [lo, hi] w wide, returning
-    hi. Bisection (geometric) replaces a step that leaves the bracket, fails
-    to halve the last step (a cycle about a kink) or follows one that went
-    past the root in vain (a flat mass). target_p is in [0, 1), tol > 0.
+    A step within w / 2 of the root, w = max(BOUND_TOL, 1e-12 eps), goes
+    w / 2 past it, and a pixel stops on its own at a bracket [lo, hi] w wide,
+    returning hi. Bisection (geometric) replaces a step that leaves the
+    bracket, fails to halve the last step (a cycle about a kink) or follows
+    one that went past the root in vain (a flat mass). target_p is in [0, 1).
     """
     mus, sigmas, mu_hat = _flat_stacks(ens)
     shape = ens.members[0].mu.shape
@@ -206,7 +211,7 @@ def credible_bound(ens: PredictiveEnsemble, target_p: float, tol: float = 1e-6) 
             mass, slope = _mass_and_slope(a, inv_sigma, x)
             below = mass < target_p
             lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-            w = np.maximum(tol, 1e-12 * x)  # tol alone can be below the float spacing
+            w = np.maximum(BOUND_TOL, 1e-12 * x)  # BOUND_TOL alone can be below the float spacing
             out[idx] = hi  # final for the pixels done now, which leave the arrays
             keep = np.flatnonzero(hi - lo > w)
             idx, a, inv_sigma, x, lo, hi, w, below, mass, slope, last = (
@@ -219,7 +224,8 @@ def credible_bound(ens: PredictiveEnsemble, target_p: float, tol: float = 1e-6) 
             short = np.abs(step) < 0.5 * w
             newton = x + np.where(short, step + np.where(below, 0.5, -0.5) * w, step)
             newton_ok = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) < last)
-            mid = np.sqrt(np.maximum(lo, tol)) * np.sqrt(hi)  # inside, as hi - lo > w >= tol
+            # inside, as hi - lo > w >= BOUND_TOL
+            mid = np.sqrt(np.maximum(lo, BOUND_TOL)) * np.sqrt(hi)
             x = np.where(newton_ok, newton, np.where(np.isinf(hi), 2.0 * lo + w, mid))
             last = np.where(newton_ok, np.where(short, 0.0, np.abs(step)), np.inf)
     return bound.reshape(shape)
@@ -231,7 +237,6 @@ def reliability_diagram(
     mean: np.ndarray,
     truth: np.ndarray,
     delta_p: float = 0.04,
-    min_count: int = 100,
 ) -> ReliabilityDiagram:
     """Bin pixels by credibility and compare against empirical accuracy.
 
@@ -240,7 +245,7 @@ def reliability_diagram(
     credibility, with p = 0 assigned to the first bin. Per bin: the mean
     credibility, the fraction of pixels whose true value lies within
     +-epsilon of the mean, and the pixel count. Bins with fewer than
-    min_count pixels are not populated and stay out of summary statistics.
+    MIN_BIN_COUNT pixels are not populated and stay out of summary statistics.
     The three arrays share one shape, and 1/delta_p is an integer, as
     ``AnalysisBlock`` requires.
     """
@@ -267,7 +272,5 @@ def reliability_diagram(
         credibility=per_bin(p_sum),
         accuracy=per_bin(hit_sum),
         count=counts,
-        populated=counts >= min_count,
-        epsilon=float(epsilon),
-        delta_p=float(delta_p),
+        populated=counts >= MIN_BIN_COUNT,
     )

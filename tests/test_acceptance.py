@@ -181,7 +181,7 @@ def test_03_pattern_design_counts_and_coverage():
 
 def relu_signature(params, x, y):
     ones = np.ones((1, 32))
-    out, (_, z1, _, z2, _, z3, _), _ = _forward_cols(params.as_list(), x[None], ones)
+    out, (z1, z2, z3), _ = _forward_cols(params.as_list(), x[None], ones)
     return (z1 > 0, z2 > 0, z3 > 0, np.sign(y - out[0]))
 
 
@@ -301,7 +301,7 @@ def test_07_credibility_closed_forms():
     cred_err = float(np.max(np.abs(cred - (1.0 - math.exp(-3.0)))))
 
     tol = 1e-6
-    bound = credible_bound(ens, 0.95, tol=tol)
+    bound = credible_bound(ens, 0.95)
     expected = -math.log(0.05) * sigma0
     bound_err = float(np.max(np.abs(bound - expected)))
 

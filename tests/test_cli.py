@@ -4,6 +4,9 @@ A small chain fixture runs every stage once; the CLI tests then poke the
 process-level contract (exit codes, error lines, flags) on cheap commands.
 """
 
+import dataclasses
+import inspect
+import math
 import os
 import re
 import shutil
@@ -16,8 +19,8 @@ import numpy as np
 import pytest
 
 from phaseuq import learner, pipeline
-from phaseuq.cli import DEMO_CONFIG, main
-from phaseuq.config import parse_config
+from phaseuq.cli import _STAGE_HELP, DEMO_CONFIG, main
+from phaseuq.config import PathsBlock, parse_config
 from phaseuq.errors import DemoGateFailure, DivergedLoss, NonFiniteInput
 from phaseuq.optics import design_patterns
 from phaseuq.tensorfile import read_records, read_tensor, write_tensor
@@ -231,6 +234,17 @@ def test_preprocess_artifacts(chain):
     )
     assert float(noise["sigma_background"]) > 0.0
     assert int(noise["pixel_count"]) >= 100
+
+
+def test_preprocess_resizes_a_dpc_phase(chain, cfg, tmp_path):
+    # dpc's phase is on the detector grid; preprocess resizes it to n_hires
+    assert read_tensor(chain["dpc"] / "phase.puqt")[0].shape == (16, 16)
+    run = pipeline.preprocess_stage(cfg, tmp_path, chain["simulate"], chain["dpc"])
+    recon, _ = read_tensor(run / "recon_normalized.puqt")
+    assert recon.shape == (cfg.optics.n_hires, cfg.optics.n_hires) == (64, 64)
+    noise = dict(line.split() for line in (run / "noise.txt").read_text().splitlines())
+    sigma = float(noise["sigma_background"])
+    assert math.isfinite(sigma) and sigma > 0.0
 
 
 def test_train_writes_ensemble_checkpoints(chain, cfg):
@@ -827,6 +841,18 @@ def test_cli_missing_checkpoints_leave_no_outputs(chain, tmp_path, capsys):
     assert rc == 3 and "code=MissingArtifact" in err
     assert not list(out.glob("predict-*")) if out.exists() else True
     assert not list(out.glob(".predict-*")) if out.exists() else True
+
+
+def test_paths_block_names_exactly_the_stage_inputs():
+    # the CLI reads a command's input runs from its stage's *_dir parameters
+    stages = [getattr(pipeline, f"{command}_stage") for command in _STAGE_HELP]
+    inputs = {
+        name
+        for stage in stages
+        for name in inspect.signature(stage).parameters
+        if name.endswith("_dir")
+    }
+    assert inputs == {f.name for f in dataclasses.fields(PathsBlock)}
 
 
 def test_cli_paths_key_required(tmp_path, capsys):

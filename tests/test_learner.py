@@ -166,45 +166,6 @@ def test_nll_shape_mismatch():
 # ---------------------------------------------------------------- backward
 
 
-def relu_signature(params, x, y):
-    ones = np.ones((1, 32))
-    out, (_, z1, _, z2, _, z3, _), _ = _forward_cols(params.as_list(), x[None], ones)
-    return (z1 > 0, z2 > 0, z3 > 0, np.sign(y - out[0]))
-
-
-def test_gradcheck_against_central_differences():
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=(5, 16, 16))
-    y = rng.normal(size=(16, 16))
-    params = init_params(17)
-    grads, _ = backward(params, x, y)
-    flat = flatten(params)
-    gflat = flatten(grads)
-    h = 1e-5
-    picks = rng.choice(flat.size, size=230, replace=False)
-    checked = 0
-    worst = 0.0
-    for i in picks:
-        for sgn, store in ((+1, "hi"), (-1, "lo")):
-            bumped = flat.copy()
-            bumped[i] += sgn * h
-            p = unflatten(bumped)
-            sig = relu_signature(p, x, y)
-            loss = nll_loss(forward(p, x), y)
-            if store == "hi":
-                sig_hi, loss_hi = sig, loss
-            else:
-                sig_lo, loss_lo = sig, loss
-        if any(not np.array_equal(a, b) for a, b in zip(sig_hi, sig_lo)):
-            continue  # a ReLU or |.| kink sits inside the stencil
-        fd = (loss_hi - loss_lo) / (2.0 * h)
-        rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-10)
-        worst = max(worst, rel)
-        checked += 1
-    assert checked >= 200
-    assert worst < 1e-4
-
-
 def reference_forward(params, x, mask):
     """Per-channel scipy correlations, sample-major; returns output and pre-activations."""
 

@@ -10,6 +10,8 @@ from phaseuq.errors import NonFiniteInput, NonPositiveSigma
 from phaseuq import uqstats
 from phaseuq.grid import RealRaster
 from phaseuq.uqstats import (
+    BOUND_TOL,
+    MIN_BIN_COUNT,
     PredictiveEnsemble,
     PredictiveMap,
     credibility_map,
@@ -215,14 +217,13 @@ def test_bound_zero_target():
 
 
 def test_bound_roundtrip():
-    tol = 1e-6
     for seed in (0, 1):
         ens = random_ensemble(seed)
         for target in (0.5, 0.9, 0.99):
-            eps = credible_bound(ens, target, tol=tol)
+            eps = credible_bound(ens, target)
             back = _credibility_of(ens, eps)
-            assert np.all(back >= target - 10 * tol)
-            assert np.all(back <= target + 10 * tol)
+            assert np.all(back >= target - 10 * BOUND_TOL)
+            assert np.all(back <= target + 10 * BOUND_TOL)
 
 
 def _credibility_of(ens, eps_map):
@@ -242,14 +243,14 @@ def test_bound_monotone_in_target():
         assert np.all(b >= a - 1e-9)
 
 
-def _assert_tight(ens, bound, target, tol=1e-6):
-    """mass(bound) >= target, and mass falls short max(2 tol, 1e-9 bound) lower.
+def _assert_tight(ens, bound, target):
+    """mass(bound) >= target, and mass falls short max(2 BOUND_TOL, 1e-9 bound) lower.
 
     The mass here comes from laplace_cdf, which rounds apart from
     credible_bound's own by up to a few 1e-16.
     """
     assert np.all(_credibility_of(ens, bound) >= target - 1e-12)
-    shrink = np.maximum(2.0 * tol, 1e-9 * bound)
+    shrink = np.maximum(2.0 * BOUND_TOL, 1e-9 * bound)
     assert np.all(_credibility_of(ens, bound - shrink) < target)
 
 
@@ -337,12 +338,11 @@ def _bisected_bound(ens, target, tol):
 
 
 def test_bound_matches_plain_bisection():
-    tol = 1e-6
     for seed in (0, 1, 2):
         ens = random_ensemble(seed, n=16, p=5)
         for target in (0.1, 0.5, 0.9, 0.98):
-            got = credible_bound(ens, target, tol=tol)
-            assert np.max(np.abs(got - _bisected_bound(ens, target, tol))) <= tol
+            got = credible_bound(ens, target)
+            assert np.max(np.abs(got - _bisected_bound(ens, target, BOUND_TOL))) <= BOUND_TOL
 
 
 # ------------------------------------------------------ blockwise evaluation
@@ -472,8 +472,10 @@ def test_diagram_counts_cover_all_pixels():
 
 
 def test_diagram_flags_thin_bins():
-    ens, truth, eps = calibrated_setup(n_px=2048)
-    diag = diagram_of(ens, truth, eps, min_count=10**6)
+    # 1,024 pixels over 25 bins (about 41 each) leave every bin below MIN_BIN_COUNT
+    ens, truth, eps = calibrated_setup(n_px=1024)
+    diag = diagram_of(ens, truth, eps)
+    assert 0 < diag.count.max() < MIN_BIN_COUNT
     assert not diag.populated.any()
     assert diag.max_gap() == 0.0
 
