@@ -20,22 +20,46 @@ the uncertainty comes from the deep ensemble's independently trained
 members. Everything is numpy, double precision, and deterministic given
 the seeds.
 
-Each convolution is an im2col followed by one GEMM. Activations are kept
-channel-major, (c, n, h, w); the column matrix of a layer input x is
-(9c, n*h*w), its 9 shifted windows of the zero-padded x, so the layer is
-k.reshape(o, 9c) @ cols. The windows are taken by one copy from a
-stride-tricks view of the padded buffer, so a layer costs the same few
-numpy calls whatever its size: a pad write, that copy, a write zeroing
-the window edges, the GEMM, a bias add and a ReLU. The forward pass keeps
-each layer's column matrix and the backward pass reuses it for the
-kernel gradient; the input gradient of the first layer is never formed.
-All of these arrays live in one ``Workspace``: the padded input, the four
-column matrices and the layer outputs, allocated once and sized for a
-full batch, with the views onto them shaped once per batch size. ``train``
-holds one per call and every step (the short last batch included) writes
-into it; ``forward`` runs in one its caller holds, or a fresh one. The
-backward pass builds its input-gradient columns and outputs in buffers
-the forward pass has finished with.
+Activations are kept channel-major, (c, n, h, w). Each convolution is
+one GEMM that expands its layer's narrow side, the one with fewer
+channels, nine-fold:
+
+- im2col, for layers 1 and 2 (5 -> 16 and 16 -> 32): the column matrix of
+  a layer input x is (9c, n*h*w), its 9 shifted windows of the
+  zero-padded x, and the layer is k.reshape(o, 9c) @ cols. The windows
+  are taken by one copy from a stride-tricks view of the padded buffer, so
+  a layer costs the same few numpy calls whatever its size: a pad write,
+  that copy, a write zeroing the window edges, the GEMM, a bias add and a
+  ReLU. Training keeps the two column matrices for the kernel gradients.
+- col2im, for layers 3 and 4 (32 -> 16 and 16 -> 2): one GEMM of the nine
+  stacked taps (9o, c) applies every tap at every pixel of the input,
+  read in place, and each output pixel sums its nine taps from the nine
+  shifted (o, n*h*w) slices of that product. The product holds w-wide
+  rows, so a shift by one column carries column 0 (for dx = 0) and
+  column w - 1 (for dx = 2) into the neighbouring row, and a shift by
+  one row carries row 0 (dy = 0) and row h - 1 (dy = 2) into the
+  neighbouring sample; those products, which zero padding would make
+  zero, are zeroed before the sum.
+
+Training and the single-patch ``forward`` that prediction runs take the
+same pass; it differs from an all-im2col one only by the order in which
+each pixel's nine taps are added, that is by rounding.
+
+Backward, layers 4 and 3 take the im2col of their upstream gradient (18
+and 144 rows): times the flipped kernel it is the input gradient, and
+times the layer input it is the kernel gradient, with taps flipped.
+Layer 2's input gradient is a col2im of the flipped kernel, and the
+input gradient of layer 1 is never formed. Each activation feeds the
+kernel gradient above it before its own gradient overwrites it.
+
+All of these arrays live in one ``Workspace``: the padded input, the
+column matrices, the layer outputs and the flat gradient, allocated once
+and sized for a full batch, with the views onto them shaped once per
+batch size. ``train`` holds one per call and every step (the short last
+batch included) writes into it; ``forward`` runs in one its caller
+holds, or a fresh one. The eight parameter arrays that ``train`` updates
+are views of one flat buffer, so each Adam step is the same elementwise
+operations once over all of it, and one finiteness check.
 
 Ensemble members run side by side, one per thread of ``run_members``'
 pool, which has as many workers as members or usable CPUs, whichever is
@@ -74,6 +98,10 @@ from .grid import RealRaster
 
 CHANNELS = (5, 16, 32, 16, 2)
 ARCH_ID = "puq-cnn-" + "x".join(str(c) for c in CHANNELS) + "-v1"
+# kernel and bias shapes in ``RegressorParams.as_list()`` order
+PARAM_SHAPES = [
+    shape for c, o in zip(CHANNELS[:-1], CHANNELS[1:]) for shape in ((o, c, 3, 3), (o,))
+]
 LOG2 = math.log(2.0)
 EXP_LIMIT = math.log(np.finfo(np.float64).max)  # exp(x) overflows above this
 # Adam moment decay rates and denominator guard
@@ -107,11 +135,11 @@ class RegressorParams:
 
     def __post_init__(self):
         for i, (k, b) in enumerate(zip(self.kernels(), self.biases())):
-            cin, cout = CHANNELS[i], CHANNELS[i + 1]
-            if k.shape != (cout, cin, 3, 3) or b.shape != (cout,):
+            kshape, bshape = PARAM_SHAPES[2 * i : 2 * i + 2]
+            if k.shape != kshape or b.shape != bshape:
                 raise ShapeMismatch(
-                    f"layer {i + 1} expects kernel {(cout, cin, 3, 3)} and "
-                    f"bias {(cout,)}, got {k.shape} and {b.shape}"
+                    f"layer {i + 1} expects kernel {kshape} and "
+                    f"bias {bshape}, got {k.shape} and {b.shape}"
                 )
             if not (np.isfinite(k).all() and np.isfinite(b).all()):
                 raise NonFiniteInput(f"layer {i + 1} has non-finite entries")
@@ -206,6 +234,16 @@ class PredictiveEnsemble:
 # ------------------------------------------------------------ plumbing
 
 
+def _param_views(flat: np.ndarray) -> list[np.ndarray]:
+    """The eight arrays of ``as_list()`` order as views of one flat buffer."""
+    arrays, at = [], 0
+    for shape in PARAM_SHAPES:
+        size = math.prod(shape)
+        arrays.append(flat[at : at + size].reshape(shape))
+        at += size
+    return arrays
+
+
 class Workspace:
     """The buffers of one batched pass, for up to n samples of h x w.
 
@@ -222,16 +260,32 @@ class Workspace:
     def __init__(self, n: int, h: int, w: int):
         self.n, self.hw = n, (h, w)
         px = n * h * w
-        # a spare element at either end: the first window starts one before the
-        # first plane, and the last ends one after the last
-        self.pad = np.zeros(max(CHANNELS) * n * (h + 2) * w + 2)
-        # column matrices of the four layer inputs
-        self.cols = [np.empty(9 * c * px) for c in CHANNELS[:-1]]
+        # planes for the widest input an im2col takes (layer 1's or 2's input, or
+        # the upstream gradient of layer 4 or 3), and a spare element at either
+        # end: the first window starts one before the first plane, and the last
+        # ends one after the last
+        self.pad = np.zeros(max(CHANNELS[:2] + CHANNELS[3:]) * n * (h + 2) * w + 2)
+        # the column matrices of layers 1 and 2, and a third buffer for nine-fold
+        # expansions of up to 16 channels: col2im's products, with w + 1 spare
+        # elements at either end, and backward's upstream-gradient columns, which
+        # are built only after the forward pass and read before the next col2im
+        self.cols = [np.empty(9 * c * px) for c in CHANNELS[:2]]
+        self.cols.append(np.empty(9 * CHANNELS[3] * px + 2 * (w + 1)))
         # GEMM outputs z1, z2, z3 and the network output
         self.z = [np.empty(c * px) for c in CHANNELS[1:]]
         # activations a1, d2, a3, overwritten by their gradients in backward
         self.acts = [np.empty(c * px) for c in CHANNELS[1:-1]]
         self._views: dict = {}
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """The loss gradient as one flat buffer, allocated by the first backward pass."""
+        return np.empty(sum(math.prod(s) for s in PARAM_SHAPES))
+
+    @cached_property
+    def grads(self) -> list[np.ndarray]:
+        """The eight arrays of ``grad``."""
+        return _param_views(self.grad)
 
     def im2col_views(self, j: int, c: int, m: int) -> tuple:
         """``_im2col``'s views for m samples of c channels into column buffer j."""
@@ -259,8 +313,36 @@ class Workspace:
             )
         return self._views[key]
 
+    def col2im_views(self, o: int, m: int) -> tuple:
+        """``_col2im``'s views for m samples and o output channels."""
+        key = ("col2im", o, m)
+        if key not in self._views:
+            h, w = self.hw
+            px = m * h * w
+            taps = self.cols[2]
+            s = taps.itemsize
+            # tap (dy, dx) of output channel oi and sample ni at pixel (y, x) is
+            # row block 3*dy + dx of the product at pixel (y + dy - 1, x + dx - 1),
+            # counted along flat rows from w + 1 elements before the product
+            tap = ((3 * o * px + w) * s, (o * px + 1) * s, px * s, h * w * s, w * s, s)
+            shifted = as_strided(taps, (3, 3, o, m, h, w), tap, writeable=False)
+            # the taps that zero padding would make zero: those of column 0
+            # (dx = 0) and w - 1 (dx = 2), which wrap into the neighbouring row,
+            # and of row 0 (dy = 0) and h - 1 (dy = 2), which fall into the
+            # neighbouring sample or the spare elements
+            edge_cols = as_strided(
+                taps, (3, 2, o, m, h), (tap[0], 2 * tap[1] + (w - 1) * s, *tap[2:5])
+            )
+            edge_rows = as_strided(
+                taps, (2, 3, o, m, w), (2 * tap[0] + (h - 1) * tap[4], *tap[1:4], s)
+            )
+            product = taps[w + 1 : w + 1 + 9 * o * px].reshape(9 * o, px)
+            self._views[key] = (product, edge_cols, edge_rows, shifted)
+        return self._views[key]
+
     def layer_views(self, m: int) -> list[tuple]:
-        """Per layer: im2col views, GEMM output (o, m*h*w) and (o, m, h, w), activation."""
+        """Per layer: im2col (layers 1, 2) or col2im (3, 4) views, output (o, m*h*w)
+        and (o, m, h, w), activation."""
         key = ("layers", m)
         if key not in self._views:
             shape = (m, *self.hw)
@@ -268,7 +350,8 @@ class Workspace:
             for i, (c, o) in enumerate(zip(CHANNELS[:-1], CHANNELS[1:])):
                 z = _view(self.z[i], (o, *shape))
                 act = _view(self.acts[i], z.shape) if i < 3 else None
-                layers.append((self.im2col_views(i, c, m), z.reshape(o, -1), z, act))
+                views = self.im2col_views(i, c, m) if i < 2 else self.col2im_views(o, m)
+                layers.append((views, z.reshape(o, -1), z, act))
             self._views[key] = layers
         return self._views[key]
 
@@ -303,34 +386,32 @@ def _im2col(x: np.ndarray, views) -> np.ndarray:
     return cols
 
 
-def _conv3(cols: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # one GEMM: (o, 9c) @ (9c, n*h*w) into out, (o, n*h*w) channel-major
-    return np.matmul(k.reshape(k.shape[0], -1), cols, out=out)
+def _col2im(x: np.ndarray, taps: np.ndarray, views, out: np.ndarray) -> np.ndarray:
+    """Zero-padded 3x3 correlation of x (c, n, h, w) into out (o, n, h, w).
 
-
-def _conv3_grad(cols, k, dy):
-    """Kernel and bias gradients of y = conv3(x, k) + b given upstream dy.
-
-    cols is the forward pass's column matrix of x; dy is channel-major.
+    taps is the kernel stacked by ``_stacked_taps``, (9o, c), and views are
+    ``Workspace.col2im_views`` for these shapes. One GEMM applies all nine
+    taps at every pixel of x, read in place. Each output pixel then sums
+    its nine taps, each from the pixel its shift points at; read along
+    flat w-wide rows, the shifts off the sample's edge columns wrap into
+    the neighbouring row and those off its edge rows into the neighbouring
+    sample, so those taps are zeroed first.
     """
-    dy2 = dy.reshape(dy.shape[0], -1)
-    return (dy2 @ cols.T).reshape(k.shape), dy2.sum(axis=1)
+    product, edge_cols, edge_rows, shifted = views
+    np.matmul(taps, x.reshape(x.shape[0], -1), out=product)
+    edge_cols[...] = 0.0
+    edge_rows[...] = 0.0
+    return np.add.reduce(shifted, axis=(0, 1), out=out)
 
 
-def _conv3_dx(ws: Workspace, layer: int, k, dy):
-    """Input gradient of the 0-based layer 1, 2 or 3 given upstream dy.
+def _stacked_taps(k: np.ndarray) -> np.ndarray:
+    # (o, c, 3, 3) -> (9o, c): row block 3*dy + dx holds tap (dy, dx) of every output channel
+    return k.transpose(2, 3, 0, 1).reshape(-1, k.shape[1])
 
-    dx is a 3x3 convolution of dy with the flipped, transposed kernel. Its
-    columns go into the column buffer of the layer above (the top layer's
-    own), whose kernel gradient is already done, and dx replaces the
-    activation it is the gradient of.
-    """
-    kf = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    c, n, h, w = dy.shape
-    cols = _im2col(dy, ws.im2col_views(min(layer + 1, 3), c, n))
-    dx = _view(ws.acts[layer - 1], (kf.shape[0], n, h, w))
-    _conv3(cols, kf, dx.reshape(kf.shape[0], -1))
-    return dx
+
+def _flipped(k: np.ndarray) -> np.ndarray:
+    # the kernel of a layer's input gradient: (o, c, 3, 3) -> (c, o, 3, 3), taps reversed
+    return k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
 def _sample_mask(n: int, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -347,25 +428,31 @@ def _swap_nc(a: np.ndarray) -> np.ndarray:
 
 
 def _forward_cols(params, x, mask, ws=None):
-    """Forward pass in channel-major (c, n, h, w) layout.
+    """Forward pass of training and ``forward``, channel-major (c, n, h, w).
 
     params holds the eight arrays in ``RegressorParams.as_list()`` order;
     mask is the (n, 32) dropout mask, or None for none. Returns the output
     (2, n, h, w), the pre-activations (z1, z2, z3), whose signs the backward
-    pass gates on, and the four column matrices, which it reuses for the
-    kernel gradients. They live in the workspace ws, built for this call
-    when none is given, and hold until its next use. Each layer is one
-    ``_im2col``, one GEMM, one bias add and, below the top, one ReLU.
+    pass gates on, and the column matrices of layers 1 and 2, which it
+    reuses for their kernel gradients. They live in the workspace ws, built for this call
+    when none is given, and hold until its next use. Layers 1 and 2 are an
+    ``_im2col`` and one GEMM, layers 3 and 4 a ``_col2im``; each adds its
+    bias and, below the top, applies a ReLU.
     """
     ws = _workspace_for(x, ws)
+    n = x.shape[0]
     a = _swap_nc(x)
     zs, cols = [], []
-    for i, (views, z2d, z, act) in enumerate(ws.layer_views(x.shape[0])):
-        cols.append(_im2col(a, views))
-        _conv3(cols[i], params[2 * i], z2d)
+    for i, (views, z2d, z, act) in enumerate(ws.layer_views(n)):
+        k = params[2 * i]
+        if i < 2:
+            cols.append(_im2col(a, views))
+            np.matmul(k.reshape(k.shape[0], -1), cols[i], out=z2d)
+        else:
+            _col2im(a, _stacked_taps(k), views, z)
         z2d += params[2 * i + 1][:, None]
         if act is None:
-            return z, tuple(zs), cols
+            return z, tuple(zs), tuple(cols)
         a = np.maximum(z, 0.0, out=act)
         if i == 1 and mask is not None:
             a *= mask.T[:, :, None, None]
@@ -387,30 +474,84 @@ def _loss_and_grad_out(out, y):
     return loss, np.stack([dmu, ds], axis=1)
 
 
+def _narrow_grads(ws, k, dz, x, dk, db):
+    """Gradients of layer 3 or 4, given its upstream gradient dz and input x.
+
+    The columns of dz (9o rows, built in the third column buffer) give the
+    input gradient through the flipped kernel, and their product with x
+    gives the kernel gradient, tap (dy, dx) in row 9*oi + 3*(2 - dy) +
+    (2 - dx). The kernel and bias gradients go into dk and db; the input
+    gradient then replaces x, which is returned.
+    """
+    o, c = k.shape[:2]
+    dcols = _im2col(dz, ws.im2col_views(2, o, dz.shape[1]))
+    x2d = x.reshape(c, -1)
+    g = (dcols @ x2d.T).reshape(o, 3, 3, c)
+    np.copyto(dk, g[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+    dz.sum(axis=(1, 2, 3), out=db)
+    np.matmul(_flipped(k).reshape(c, -1), dcols, out=x2d)
+    return x
+
+
+def _wide_grads(cols, dz, dk, db):
+    """Kernel and bias gradients of layer 1 or 2 from its forward column matrix."""
+    dz2d = dz.reshape(dz.shape[0], -1)
+    # cols @ dz.T, the tall product, runs faster in OpenBLAS than its transpose
+    np.copyto(dk.reshape(dz.shape[0], -1), (cols @ dz2d.T).T)
+    dz2d.sum(axis=1, out=db)
+
+
 def _backward_batch(params, x, y, mask, ws=None):
     """Loss gradients as a list in ``as_list()`` order, and the loss.
 
-    Runs in the workspace ws, built for this call when none is given.
+    Runs in the workspace ws, built for this call when none is given; the
+    gradients are the eight views of its flat ``grad`` buffer. Each
+    activation is read by the kernel gradient above it before its own
+    gradient overwrites it.
     """
     ws = _workspace_for(x, ws)
-    out, (z1, z2, z3), (c1, c2, c3, c4) = _forward_cols(params, x, mask, ws)
+    n = x.shape[0]
+    out, (z1, z2, z3), (c1, c2) = _forward_cols(params, x, mask, ws)
     loss, dout = _loss_and_grad_out(_swap_nc(out), y)
     if not math.isfinite(loss):
         raise DivergedLoss(f"loss became {loss}")
-    dout = _swap_nc(dout)
-    k1, _, k2, _, k3, _, k4, _ = params
-    dk4, db4 = _conv3_grad(c4, k4, dout)
-    dz3 = _conv3_dx(ws, 3, k4, dout)
+    _, _, k2, _, k3, _, k4, _ = params
+    dk1, db1, dk2, db2, dk3, db3, dk4, db4 = ws.grads
+    (_, _, _, a1), (_, _, _, d2), (_, _, _, a3), _ = ws.layer_views(n)
+    dz3 = _narrow_grads(ws, k4, _swap_nc(dout), a3, dk4, db4)
     dz3 *= z3 > 0.0
-    dk3, db3 = _conv3_grad(c3, k3, dz3)
-    dz2 = _conv3_dx(ws, 2, k3, dz3)
+    dz2 = _narrow_grads(ws, k3, dz3, d2, dk3, db3)
     dz2 *= mask.T[:, :, None, None]
     dz2 *= z2 > 0.0
-    dk2, db2 = _conv3_grad(c2, k2, dz2)
-    dz1 = _conv3_dx(ws, 1, k2, dz2)
+    _wide_grads(c2, dz2, dk2, db2)
+    dz1 = _col2im(dz2, _stacked_taps(_flipped(k2)), ws.col2im_views(k2.shape[1], n), a1)
     dz1 *= z1 > 0.0
-    dk1, db1 = _conv3_grad(c1, k1, dz1)
-    return [dk1, db1, dk2, db2, dk3, db3, dk4, db4], loss
+    _wide_grads(c1, dz1, dk1, db1)
+    return ws.grads, loss
+
+
+def _adam_step(theta, g, m, v, t, lr, scratch):
+    """One Adam step on the flat parameters theta, in place, at step number t.
+
+    g is the gradient, m and v the moment estimates, updated in place, and
+    scratch two buffers of theta's size. The arithmetic is the textbook
+    update's, operation for operation.
+    """
+    a, b = scratch
+    m *= BETA1
+    np.multiply(g, 1.0 - BETA1, out=a)
+    m += a
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=a)
+    a *= g
+    v += a
+    np.divide(m, 1.0 - BETA1**t, out=a)
+    np.divide(v, 1.0 - BETA2**t, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a *= lr
+    a /= b
+    theta -= a
 
 
 def _openblas_thread_controls() -> list[tuple]:
@@ -473,11 +614,9 @@ def init_params(seed: int) -> RegressorParams:
     """He-normal kernels (variance 2/fan_in), zero biases."""
     rng = np.random.default_rng(seed)
     tensors = []
-    for i in range(4):
-        cin, cout = CHANNELS[i], CHANNELS[i + 1]
-        std = math.sqrt(2.0 / (9 * cin))
-        tensors.append(rng.normal(0.0, std, (cout, cin, 3, 3)))
-        tensors.append(np.zeros(cout))
+    for kshape, bshape in zip(PARAM_SHAPES[::2], PARAM_SHAPES[1::2]):
+        std = math.sqrt(2.0 / math.prod(kshape[1:]))
+        tensors += [rng.normal(0.0, std, kshape), np.zeros(bshape)]
     return RegressorParams(*tensors)
 
 
@@ -530,9 +669,10 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
     if not k:
         raise EmptyDataset("dataset has no training patches")
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg.seed).as_list()
-    m = [np.zeros_like(a) for a in params]
-    v = [np.zeros_like(a) for a in params]
+    theta = np.concatenate([a.ravel() for a in init_params(cfg.seed).as_list()])
+    params = _param_views(theta)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    scratch = (np.empty_like(theta), np.empty_like(theta))
     ws = Workspace(min(cfg.batch_size, k), *x.shape[2:])
     t = 0
     for _ in range(cfg.epochs):
@@ -540,19 +680,12 @@ def train(dataset: Dataset, cfg: TrainConfig, loss_history=None) -> RegressorPar
         for start in range(0, k, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             mask = _sample_mask(len(idx), cfg.dropout_rate, rng)
-            grads, loss = _backward_batch(params, x[idx], y[idx], mask, ws)
+            _, loss = _backward_batch(params, x[idx], y[idx], mask, ws)
             if loss_history is not None:
                 loss_history.append(loss)
             t += 1
-            for p, g, mj, vj in zip(params, grads, m, v):
-                mj *= BETA1
-                mj += (1.0 - BETA1) * g
-                vj *= BETA2
-                vj += (1.0 - BETA2) * g * g
-                mh = mj / (1.0 - BETA1**t)
-                vh = vj / (1.0 - BETA2**t)
-                p -= cfg.lr * mh / (np.sqrt(vh) + ADAM_EPS)
-            if any(not np.isfinite(a).all() for a in params):
+            _adam_step(theta, ws.grad, m, v, t, cfg.lr, scratch)
+            if not np.isfinite(theta).all():
                 raise DivergedLoss(f"parameters became non-finite at step {t}")
     return RegressorParams(*params)
 

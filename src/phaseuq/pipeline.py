@@ -28,7 +28,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ExperimentConfig, PathsBlock, config_hash
@@ -213,7 +212,6 @@ def _run(out_root, stage: str, cfg, inputs=None, seeds=None, export_pgm=False):
         rows += [
             ("version_phaseuq", __version__),
             ("version_numpy", np.__version__),
-            ("version_scipy", scipy.__version__),
             ("version_python", platform.python_version()),
         ]
         run.lines("manifest.txt", rows)

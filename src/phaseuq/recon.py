@@ -42,7 +42,6 @@ __all__ = [
     "sfpm_reconstruct",
     "dpc_reconstruct",
     "dpc_deconvolve",
-    "subtract_mean_phase",
     "DPC_BETA",
 ]
 
@@ -58,11 +57,6 @@ class MeasurementStack:
     geometry: GeometryBlock
     na_obj: float
     pitch: float
-
-
-def subtract_mean_phase(phase: np.ndarray) -> np.ndarray:
-    """Fix the global phase offset by zeroing the mean."""
-    return phase - phase.mean()
 
 
 def sfpm_reconstruct(

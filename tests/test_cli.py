@@ -923,13 +923,13 @@ def test_cli_predict_member_error_is_one_error_line(chain, tmp_path, capsys, mon
 
 
 def test_cli_import_loads_no_transform_modules():
-    """Starting the CLI loads neither scipy.fft nor scipy.ndimage."""
+    """Starting the CLI loads no scipy module at all."""
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, phaseuq.cli; "
-        "print(sorted({'scipy.fft', 'scipy.ndimage'} & set(sys.modules)))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,

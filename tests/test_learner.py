@@ -34,10 +34,12 @@ from phaseuq.learner import (
 )
 from phaseuq.learner import (
     _backward_batch,
+    _col2im,
     _forward_cols,
     _im2col,
     _loss_and_grad_out,
     _sample_mask,
+    _stacked_taps,
 )
 
 
@@ -167,15 +169,17 @@ def test_nll_shape_mismatch():
 
 
 def reference_forward(params, x, mask):
-    """Per-channel scipy correlations, sample-major; returns output and pre-activations."""
+    """Per-channel scipy correlations, sample-major; returns output and pre-activations.
+
+    Each correlation runs over all samples at once, with a kernel one sample deep.
+    """
 
     def conv(a, k, b):
         out = np.zeros((a.shape[0], k.shape[0], *a.shape[2:]))
-        for n in range(a.shape[0]):
-            for o in range(k.shape[0]):
-                for c in range(k.shape[1]):
-                    out[n, o] += correlate(a[n, c], k[o, c], mode="same")
-                out[n, o] += b[o]
+        for o in range(k.shape[0]):
+            for c in range(k.shape[1]):
+                out[:, o] += correlate(a[:, c], k[o, c][None], mode="same", method="direct")
+            out[:, o] += b[o]
         return out
 
     z1 = conv(x, params.k1, params.b1)
@@ -199,35 +203,43 @@ def reference_gradients(params, x, y, mask):
         k, a = params.kernels()[layer], acts[layer]
         padded = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
         dk = np.zeros_like(k)
-        for n in range(a.shape[0]):
-            for o in range(k.shape[0]):
-                for c in range(k.shape[1]):
-                    dk[o, c] += correlate(padded[n, c], dz[n, o], mode="valid")
+        for o in range(k.shape[0]):
+            for c in range(k.shape[1]):
+                # sums over the samples too: the kernel is as deep as the batch
+                dk[o, c] = correlate(padded[:, c], dz[:, o], mode="valid", method="direct")[0]
         grads = [dk, dz.sum(axis=(0, 2, 3))] + grads
         if layer > 0:
             da = np.zeros_like(a)
-            for n in range(a.shape[0]):
-                for c in range(k.shape[1]):
-                    for o in range(k.shape[0]):
-                        da[n, c] += convolve(dz[n, o], k[o, c], mode="same")
+            for c in range(k.shape[1]):
+                for o in range(k.shape[0]):
+                    da[:, c] += convolve(dz[:, o], k[o, c][None], mode="same", method="direct")
             dz = da * gates[layer]
     return out, grads
 
 
 def test_kernels_match_scipy_reference():
-    # batch 3 on a non-square frame, dropout zeroing some channels
+    # a full batch, the demo's short last batch and batch 1, in turn in one
+    # workspace, on a non-square frame, with dropout zeroing some channels of
+    # every sample and nonzero biases
     rng = np.random.default_rng(21)
-    x = rng.normal(size=(3, 5, 12, 20))
-    y = rng.normal(size=(3, 12, 20))
-    mask = (rng.random((3, 32)) >= 0.4) / 0.6
-    assert (mask == 0.0).any(axis=1).all()
     params = unflatten(0.3 * rng.normal(size=flatten(init_params(0)).size))
-    want_out, want_grads = reference_gradients(params, x, y, mask)
-    out, _, _ = _forward_cols(params.as_list(), x, mask)
-    grads, _ = _backward_batch(params.as_list(), x, y, mask)
-    for got, want in [(out.transpose(1, 0, 2, 3), want_out), *zip(grads, want_grads)]:
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert all((b != 0.0).all() for b in params.biases())
+    ws = Workspace(16, 7, 10)
+    for n in (16, 11, 1):
+        x = rng.normal(size=(n, 5, 7, 10))
+        y = rng.normal(size=(n, 7, 10))
+        mask = (rng.random((n, 32)) >= 0.4) / 0.6
+        assert (mask == 0.0).any(axis=1).all()
+        want_out, want_grads = reference_gradients(params, x, y, mask)
+        out, _, _ = _forward_cols(params.as_list(), x, mask, ws)
+        got_out = out.transpose(1, 0, 2, 3).copy()
+        grads, loss = _backward_batch(params.as_list(), x, y, mask, ws)
+        mu, s = want_out[:, 0], want_out[:, 1]
+        want_loss = np.mean(np.abs(y - mu) * np.exp(-s) + s) + math.log(2.0)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for got, want in [(got_out, want_out), *zip(grads, want_grads)]:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_reused_workspace_leaks_nothing_between_batches():
@@ -284,14 +296,70 @@ def _im2col_reference(x):
 
 @pytest.mark.parametrize("n", [1, 3, 16])
 def test_im2col_matches_nine_slice_reference(n):
-    # every (column buffer, channel count) the passes use: the four layer
-    # inputs forward, and dy of 2, 16 and 32 channels backward; twice over,
-    # so each call follows a wider one in the shared pad buffer
+    # every (column buffer, channel count) the passes use: the inputs of layers
+    # 1 and 2, and backward's upstream-gradient columns of 16 and 2 channels in
+    # the third buffer; twice over, so each call follows a wider one in the
+    # shared pad buffer
     rng = np.random.default_rng(40 + n)
     ws = Workspace(16, 6, 7)
-    for j, c in [(0, 5), (1, 16), (2, 32), (3, 16), (3, 2)] * 2:
+    for j, c in [(0, 5), (1, 16), (2, 16), (2, 2)] * 2:
         x = rng.normal(size=(c, n, 6, 7))
         assert np.array_equal(_im2col(x, ws.im2col_views(j, c, n)), _im2col_reference(x))
+
+
+@pytest.mark.parametrize("n", [1, 11, 16])
+def test_col2im_matches_im2col_reference(n):
+    # the (input, output) channel counts col2im runs at: layers 3 and 4
+    # forward and layer 2's input gradient (32 -> 16), each with a product
+    # buffer full of NaN, so every tap the sum reads must have been written
+    rng = np.random.default_rng(50 + n)
+    ws = Workspace(16, 6, 7)
+    for c, o in [(32, 16), (16, 2)]:
+        x = rng.normal(size=(c, n, 6, 7))
+        k = rng.normal(size=(o, c, 3, 3))
+        out = np.empty((o, n, 6, 7))
+        ws.cols[2][...] = np.nan
+        _col2im(x, _stacked_taps(k), ws.col2im_views(o, n), out)
+        want = (k.reshape(o, -1) @ _im2col_reference(x)).reshape(out.shape)
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def eight_array_adam(params, grads, m, v, t, lr):
+    """The Adam update array by array, in place."""
+    for p, g, mj, vj in zip(params, grads, m, v):
+        mj *= learner.BETA1
+        mj += (1.0 - learner.BETA1) * g
+        vj *= learner.BETA2
+        vj += (1.0 - learner.BETA2) * g * g
+        mh = mj / (1.0 - learner.BETA1**t)
+        vh = vj / (1.0 - learner.BETA2**t)
+        p -= lr * mh / (np.sqrt(vh) + learner.ADAM_EPS)
+
+
+def test_train_matches_eight_array_loop():
+    # 11 training patches at batch 4: three steps an epoch, the last one short
+    ds = toy_dataset((11, 90, False), (3, 95, True))
+    cfg = TrainConfig(lr=2e-3, epochs=3, dropout_rate=0.2, seed=8, batch_size=4)
+    history = []
+    got = train(ds, cfg, history)
+    x, y = ds.inputs[~ds.validation], ds.targets[~ds.validation]
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(cfg.seed).as_list()
+    m, v = [np.zeros_like(a) for a in params], [np.zeros_like(a) for a in params]
+    losses, t = [], 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            mask = _sample_mask(len(idx), cfg.dropout_rate, rng)
+            grads, loss = _backward_batch(params, x[idx], y[idx], mask)
+            losses.append(loss)
+            t += 1
+            eight_array_adam(params, grads, m, v, t, cfg.lr)
+    assert len(history) == t == cfg.epochs * 3
+    assert history == losses
+    for a, b in zip(got.as_list(), params, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_forward_in_a_held_workspace_matches_fresh_workspaces():
