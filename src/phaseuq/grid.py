@@ -2,8 +2,7 @@
 
 Fields and spectra are plain 2D ndarrays.  No function here keeps a pixel
 pitch: only ``freq_axis`` turns one into frequencies, and callers pass it
-the pitch of the grid they mean.  ``RealRaster`` remains only as the
-container of the mu and sigma arrays of a predicted map in ``learner``.
+the pitch of the grid they mean.
 
 All spectra in this package live on centered grids: the DC sample of an
 ``n``-point axis sits at index ``n // 2``, and transforms are unitary
@@ -24,14 +23,12 @@ count ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, SizeMismatch
+from .errors import SizeMismatch
 
 __all__ = [
-    "RealRaster",
     "fft2_unitary",
     "ifft2_unitary",
     "swap_quadrants",
@@ -40,23 +37,6 @@ __all__ = [
     "resize_bicubic",
     "freq_axis",
 ]
-
-
-@dataclass(frozen=True)
-class RealRaster:
-    """Finite float64 array: the mu or sigma of one member's predicted map in ``learner``."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if not np.isfinite(data).all():
-            raise NonFiniteInput("raster contains NaN or Inf samples")
-        object.__setattr__(self, "data", data)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
 
 def _check_fft_input(x: np.ndarray) -> None:

@@ -4,7 +4,8 @@ Fixed architecture, channels 5 -> 16 -> 32 -> 16 -> 2 with 3x3 kernels,
 same zero-padding, ReLU between layers, and one channel-dropout site
 after the second convolution. The two output channels parameterize a
 per-pixel Laplacian: mean mu and log-scale s. ``forward`` returns the
-arrays mu and sigma = exp(s), exponentiated once, as a pair.
+arrays mu and sigma = exp(s), exponentiated once, as a pair, and
+``predict_ensemble`` builds ``uqstats``' predictive maps from such pairs.
 
 The training set is a ``Dataset`` of three arrays: inputs (K, 5, H, W),
 targets (K, H, W) and a boolean validation flag per patch. Training fits
@@ -87,14 +88,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .config import TrainConfig
-from .errors import (
-    DivergedLoss,
-    EmptyDataset,
-    NonFiniteInput,
-    ShapeMismatch,
-    SizeMismatch,
-)
-from .grid import RealRaster
+from .errors import DivergedLoss, EmptyDataset, NonFiniteInput, ShapeMismatch
+from .uqstats import LOG2, PredictiveEnsemble, PredictiveMap
 
 CHANNELS = (5, 16, 32, 16, 2)
 ARCH_ID = "puq-cnn-" + "x".join(str(c) for c in CHANNELS) + "-v1"
@@ -102,7 +97,6 @@ ARCH_ID = "puq-cnn-" + "x".join(str(c) for c in CHANNELS) + "-v1"
 PARAM_SHAPES = [
     shape for c, o in zip(CHANNELS[:-1], CHANNELS[1:]) for shape in ((o, c, 3, 3), (o,))
 ]
-LOG2 = math.log(2.0)
 EXP_LIMIT = math.log(np.finfo(np.float64).max)  # exp(x) overflows above this
 # Adam moment decay rates and denominator guard
 BETA1 = 0.9
@@ -185,50 +179,6 @@ class Dataset:
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets", y)
         object.__setattr__(self, "validation", held)
-
-
-@dataclass(frozen=True)
-class PredictiveMap:
-    """One member's per-pixel Laplacian parameters: mean mu and scale sigma."""
-
-    mu: RealRaster
-    sigma: RealRaster
-
-    def __post_init__(self):
-        if self.mu.shape != self.sigma.shape:
-            raise ShapeMismatch(f"mu {self.mu.shape} and sigma {self.sigma.shape} differ")
-
-
-@dataclass(frozen=True)
-class PredictiveEnsemble:
-    """Per-member predictive maps of a deep ensemble over one input."""
-
-    members: tuple[PredictiveMap, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
-            raise SizeMismatch("ensemble needs at least one member")
-        shapes = {m.mu.shape for m in self.members}
-        if len(shapes) != 1:
-            raise ShapeMismatch("ensemble members must share one shape")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @cached_property
-    def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Member x pixel stacks of mu and sigma and the mixture mean, built once.
-
-        The arrays are read-only, since every caller of this ensemble shares them.
-        """
-        mus = np.stack([m.mu.data.ravel() for m in self.members])
-        sigmas = np.stack([m.sigma.data.ravel() for m in self.members])
-        arrays = (mus, sigmas, mus.mean(axis=0))
-        for a in arrays:
-            a.flags.writeable = False
-        return arrays
 
 
 # ------------------------------------------------------------ plumbing
@@ -727,8 +677,4 @@ def train_ensemble(dataset: Dataset, cfg: TrainConfig) -> list[RegressorParams]:
 
 def predict_ensemble(models, inputs) -> PredictiveEnsemble:
     """One deterministic forward per trained member."""
-    models = list(models)
-    if not models:
-        raise SizeMismatch("need at least one model")
-    maps = [forward(p, inputs) for p in models]
-    return PredictiveEnsemble(tuple(PredictiveMap(RealRaster(m), RealRaster(s)) for m, s in maps))
+    return PredictiveEnsemble(tuple(PredictiveMap(*forward(p, inputs)) for p in models))

@@ -42,13 +42,11 @@ from .errors import (
     ShapeMismatch,
     ZeroMeanImage,
 )
-from .grid import RealRaster, resize_bicubic
+from .grid import resize_bicubic
 from .learner import (
     ARCH_ID,
     CHANNELS,
     Dataset,
-    PredictiveEnsemble,
-    PredictiveMap,
     RegressorParams,
     Workspace,
     forward,
@@ -75,6 +73,8 @@ from .preprocess import (
 from .recon import MeasurementStack, dpc_reconstruct, sfpm_reconstruct
 from .tensorfile import read_records, read_tensor, write_pgm16, write_records, write_tensor
 from .uqstats import (
+    PredictiveEnsemble,
+    PredictiveMap,
     credibility_map,
     credible_bound,
     decompose_uncertainty,
@@ -492,9 +492,7 @@ def analyze_stage(
         )
     if not (sigma > 0.0).all():
         raise NonPositiveSigma(f"{Path(predict_dir) / 'sigma.puqt'}: sigma must be > 0")
-    ens = PredictiveEnsemble(
-        tuple(PredictiveMap(RealRaster(m), RealRaster(s)) for m, s in zip(mu, sigma))
-    )
+    ens = PredictiveEnsemble(tuple(PredictiveMap(m, s) for m, s in zip(mu, sigma)))
 
     if a.policy == "background-noise":
         path = Path(preprocess_dir) / "noise.txt"

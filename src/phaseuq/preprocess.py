@@ -35,14 +35,13 @@ def unwrap_phase(wrapped: np.ndarray) -> np.ndarray:
     """Least-squares unwrapping with a congruence correction.
 
     Wrapped forward differences give a discrete Laplacian; the Poisson
-    equation is solved under reflecting boundaries by dividing the
-    type-II cosine transform by 2cos(pi m/M) + 2cos(pi n/N) - 4 (zero
-    mode pinned to 0). The smooth solution is then snapped back onto
-    the input plus exact multiples of 2pi, so residue-free fields are
-    recovered up to a global constant.
+    equation is solved under reflecting boundaries by an FFT of its even
+    (mirrored) extension to 2M x 2N, divided by 2cos(pi m/M) + 2cos(pi n/N) - 4
+    (zero mode pinned to 0), which is the type-II cosine transform's solve.
+    The smooth solution is then snapped back onto the input plus exact
+    multiples of 2pi, so residue-free fields are recovered up to a global
+    constant.
     """
-    from scipy import fft  # loaded on first use: no pipeline stage unwraps
-
     p = np.asarray(wrapped, dtype=float)
     m, n = p.shape
     dy = wrap_phase(np.diff(p, axis=0))
@@ -52,13 +51,14 @@ def unwrap_phase(wrapped: np.ndarray) -> np.ndarray:
     rho[1:, :] -= dy
     rho[:, :-1] += dx
     rho[:, 1:] -= dx
-    wy = 2.0 * np.cos(np.pi * np.arange(m) / m) - 2.0
-    wx = 2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0
+    rho = np.block([[rho, rho[:, ::-1]], [rho[::-1], rho[::-1, ::-1]]])
+    wy = 2.0 * np.cos(np.pi * np.arange(2 * m) / m) - 2.0
+    wx = 2.0 * np.cos(np.pi * np.arange(2 * n) / n) - 2.0
     denom = wy[:, None] + wx[None, :]
     denom[0, 0] = 1.0
-    coeff = fft.dctn(rho, type=2, norm="ortho") / denom
+    coeff = np.fft.fft2(rho) / denom
     coeff[0, 0] = 0.0
-    smooth = fft.idctn(coeff, type=2, norm="ortho")
+    smooth = np.fft.ifft2(coeff)[:m, :n].real
     # snap to input + 2*pi*k; the circular mean removes the arbitrary
     # least-squares offset before rounding so k is spatially consistent
     diff = smooth - p

@@ -4,11 +4,16 @@ An ensemble of P per-pixel Laplace distributions (mu_p, sigma_p) is
 treated as an equal-weight mixture. This module computes the mixture
 mean, the variance decomposition into data and model parts, credibility
 maps p_i(eps) = P(|y - mu_hat| <= eps), credible-interval bounds, and
-reliability diagrams. Each member holds its mu and sigma
-as predicted, arrays of any one shape shared by all members (the pipeline
-passes a member's patches as one (patch, row, col) array); every result
-here is a plain ndarray of that shape (the decomposition a NamedTuple of
-four, the diagram per-bin arrays), since no pixel pitch enters any of them.
+reliability diagrams.
+
+The ensemble's types live here alone. A ``PredictiveMap`` is built from one
+member's mu and sigma as predicted, arrays of any one shape shared by all
+members (the pipeline passes a member's patches as one (patch, row, col)
+array), and checks them once: finite, one shape, sigma > 0. No operation
+checks them again; each reads the member stacks that a
+``PredictiveEnsemble`` builds once. Every result here is a plain ndarray of
+the members' shape (the decomposition a NamedTuple of four, the diagram
+per-bin arrays), since no pixel pitch enters any of them.
 
 Credibility maps and bounds evaluate each member's interval mass in closed
 form from a = |mu_hat - mu_p| / sigma_p, one cache-sized block of pixels at a
@@ -19,12 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteInput, NonPositiveSigma
-from .learner import LOG2, PredictiveEnsemble, PredictiveMap
+from .errors import NonFiniteInput, NonPositiveSigma, ShapeMismatch, SizeMismatch
 
 __all__ = [
     "PredictiveEnsemble",
@@ -37,8 +42,11 @@ __all__ = [
     "credible_bound",
     "reliability_diagram",
     "BOUND_TOL",
+    "LOG2",
     "MIN_BIN_COUNT",
 ]
+
+LOG2 = math.log(2.0)
 
 # credible_bound's absolute tolerance on the half-width
 BOUND_TOL = 1e-6
@@ -47,6 +55,70 @@ MIN_BIN_COUNT = 100
 
 
 # ---------------------------------------------------------------- types
+
+
+class _Raster(NamedTuple):
+    """One checked array of a ``PredictiveMap``; perfbench's tracer reads its ``data``."""
+
+    data: np.ndarray
+
+
+@dataclass(frozen=True, init=False)
+class PredictiveMap:
+    """One member's per-pixel Laplacian parameters: mean mu and scale sigma.
+
+    Built from the two arrays as predicted, held as float64 and checked
+    once: finite, one shape, sigma > 0.
+    """
+
+    mu: _Raster
+    sigma: _Raster
+
+    def __init__(self, mu, sigma):
+        mu, sigma = np.asarray(mu, dtype=np.float64), np.asarray(sigma, dtype=np.float64)
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise NonFiniteInput("predicted map contains NaN or Inf samples")
+        if mu.shape != sigma.shape:
+            raise ShapeMismatch(f"mu {mu.shape} and sigma {sigma.shape} differ")
+        if not (sigma > 0.0).all():
+            raise NonPositiveSigma("sigma must be > 0")
+        object.__setattr__(self, "mu", _Raster(mu))
+        object.__setattr__(self, "sigma", _Raster(sigma))
+
+
+@dataclass(frozen=True)
+class PredictiveEnsemble:
+    """Per-member predictive maps of a deep ensemble over one input."""
+
+    members: tuple[PredictiveMap, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", tuple(self.members))
+        if not self.members:
+            raise SizeMismatch("ensemble needs at least one member")
+        if len({m.mu.data.shape for m in self.members}) != 1:
+            raise ShapeMismatch("ensemble members must share one shape")
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.members[0].mu.data.shape
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Member x pixel stacks of mu and sigma and the mixture mean, built once.
+
+        The arrays are read-only, since every caller of this ensemble shares them.
+        """
+        mus = np.stack([m.mu.data.ravel() for m in self.members])
+        sigmas = np.stack([m.sigma.data.ravel() for m in self.members])
+        arrays = (mus, sigmas, mus.mean(axis=0))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 class UncertaintyMaps(NamedTuple):
@@ -86,18 +158,6 @@ class ReliabilityDiagram:
 # Pixels per block in credibility_map and credible_bound: a few member x
 # block arrays of float64 stay in cache through every Newton step.
 _BLOCK_PIXELS = 16_384
-
-
-def _check_sigma(sigma: np.ndarray) -> None:
-    if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
-        raise NonPositiveSigma("sigma must be finite and > 0")
-
-
-def _flat_stacks(ens: PredictiveEnsemble):
-    """The ensemble's cached mu and sigma stacks, sigma checked, and the mixture mean."""
-    mus, sigmas, mu_hat = ens.stacks
-    _check_sigma(sigmas)
-    return mus, sigmas, mu_hat
 
 
 def _blocks(mus, sigmas, mu_hat):
@@ -150,7 +210,8 @@ def laplace_cdf(y, mu, sigma):
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    _check_sigma(sigma)
+    if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
+        raise NonPositiveSigma("sigma must be finite and > 0")
     r = y - mu
     out = 0.5 + 0.5 * np.sign(r) * (1.0 - np.exp(-np.abs(r) / sigma))
     return float(out) if out.ndim == 0 else out
@@ -163,12 +224,11 @@ def decompose_uncertainty(ens: PredictiveEnsemble) -> UncertaintyMaps:
     model^2 = population variance of the member means, and
     total^2 = data^2 + model^2 exactly.
     """
-    mus, sigmas, mu_hat = _flat_stacks(ens)
-    shape = ens.members[0].mu.shape
+    mus, sigmas, mu_hat = ens.stacks
     data_var = (2.0 * sigmas**2).mean(axis=0)
     model_var = ((mus - mu_hat) ** 2).mean(axis=0)
     flat = (mu_hat, np.sqrt(data_var), np.sqrt(model_var), np.sqrt(data_var + model_var))
-    return UncertaintyMaps(*(a.reshape(shape) for a in flat))
+    return UncertaintyMaps(*(a.reshape(ens.shape) for a in flat))
 
 
 def credibility_map(ens: PredictiveEnsemble, epsilon: float) -> np.ndarray:
@@ -179,11 +239,11 @@ def credibility_map(ens: PredictiveEnsemble, epsilon: float) -> np.ndarray:
     epsilon = float(epsilon)
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
         raise NonFiniteInput(f"epsilon must be finite >= 0, got {epsilon}")
-    mus, sigmas, mu_hat = _flat_stacks(ens)
+    mus, sigmas, mu_hat = ens.stacks
     values = np.empty_like(mu_hat)
     for block, a, inv_sigma in _blocks(mus, sigmas, mu_hat):
         values[block] = _mass_and_slope(a, inv_sigma, epsilon)[0]
-    return values.reshape(ens.members[0].mu.shape)
+    return values.reshape(ens.shape)
 
 
 def credible_bound(ens: PredictiveEnsemble, target_p: float) -> np.ndarray:
@@ -197,10 +257,9 @@ def credible_bound(ens: PredictiveEnsemble, target_p: float) -> np.ndarray:
     bracket, fails to halve the last step (a cycle about a kink) or follows
     one that went past the root in vain (a flat mass). target_p is in [0, 1).
     """
-    mus, sigmas, mu_hat = _flat_stacks(ens)
-    shape = ens.members[0].mu.shape
+    mus, sigmas, mu_hat = ens.stacks
     if target_p == 0.0:
-        return np.zeros(shape)
+        return np.zeros(ens.shape)
     bound = np.empty_like(mu_hat)
     for block, a, inv_sigma in _blocks(mus, sigmas, mu_hat):
         bounds = _member_bounds(a, inv_sigma, target_p)
@@ -228,7 +287,7 @@ def credible_bound(ens: PredictiveEnsemble, target_p: float) -> np.ndarray:
             mid = np.sqrt(np.maximum(lo, BOUND_TOL)) * np.sqrt(hi)
             x = np.where(newton_ok, newton, np.where(np.isinf(hi), 2.0 * lo + w, mid))
             last = np.where(newton_ok, np.where(short, 0.0, np.abs(step)), np.inf)
-    return bound.reshape(shape)
+    return bound.reshape(ens.shape)
 
 
 def reliability_diagram(

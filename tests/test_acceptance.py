@@ -23,10 +23,8 @@ from conftest import (
 from phaseuq import pipeline
 from phaseuq.cli import DEMO_CONFIG
 from phaseuq.config import GeometryBlock, SfpmConfig, TrainConfig, parse_config
-from phaseuq.grid import RealRaster, crop_center_spectrum, fft2_unitary, ifft2_unitary
+from phaseuq.grid import crop_center_spectrum, fft2_unitary, ifft2_unitary
 from phaseuq.learner import (
-    PredictiveEnsemble,
-    PredictiveMap,
     RegressorParams,
     backward,
     forward,
@@ -59,6 +57,8 @@ from phaseuq.recon import (
     sfpm_reconstruct,
 )
 from phaseuq.uqstats import (
+    PredictiveEnsemble,
+    PredictiveMap,
     credibility_map,
     credible_bound,
     decompose_uncertainty,
@@ -267,7 +267,7 @@ def test_06_degenerate_ensemble_decomposition():
     t0 = time.time()
     mu = smooth_field(32, 3)
     sig = 0.05 + 0.1 * smooth_field(32, 4)
-    member = PredictiveMap(RealRaster(mu), RealRaster(sig))
+    member = PredictiveMap(mu, sig)
     ens = PredictiveEnsemble((member,) * 4)
     maps = decompose_uncertainty(ens)
 
@@ -292,9 +292,7 @@ def test_07_credibility_closed_forms():
     """Single-member analytics: 3-sigma mass, 95 percent bound, roundtrip."""
     t0 = time.time()
     sigma0 = 0.2
-    member = PredictiveMap(
-        RealRaster(np.full((24, 24), 0.4)), RealRaster(np.full((24, 24), sigma0))
-    )
+    member = PredictiveMap(np.full((24, 24), 0.4), np.full((24, 24), sigma0))
     ens = PredictiveEnsemble((member,))
 
     cred = credibility_map(ens, 3.0 * sigma0)
@@ -330,7 +328,7 @@ def test_08_reliability_diagram_self_consistency():
     sigma = -eps / np.log1p(-p_target)
     mu = rng.normal(size=shape)
     truth = rng.laplace(mu, sigma)
-    member = PredictiveMap(RealRaster(mu), RealRaster(sigma))
+    member = PredictiveMap(mu, sigma)
     ens = PredictiveEnsemble((member,))
 
     mean = decompose_uncertainty(ens).mean

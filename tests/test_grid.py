@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from phaseuq import grid
-from phaseuq.errors import NonFiniteInput, SizeMismatch
+from phaseuq.errors import SizeMismatch
 from phaseuq.grid import (
-    RealRaster,
     crop_center_spectrum,
     embed_center_spectrum,
     fft2_unitary,
@@ -17,13 +16,6 @@ from phaseuq.grid import (
     resize_bicubic,
     swap_quadrants,
 )
-
-
-def test_raster_rejects_nonfinite():
-    bad = np.ones((4, 4))
-    bad[1, 2] = np.nan
-    with pytest.raises(NonFiniteInput):
-        RealRaster(bad)
 
 
 def test_transforms_need_2d_input_with_sides_of_two():

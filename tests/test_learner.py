@@ -18,6 +18,7 @@ from phaseuq.errors import (
     EmptyDataset,
     NonFiniteInput,
     ShapeMismatch,
+    SizeMismatch,
 )
 from phaseuq.learner import (
     CHANNELS,
@@ -606,6 +607,11 @@ def test_openblas_build_has_a_thread_count_entry_point():
     controls = learner._openblas_thread_controls()
     assert controls
     assert all(get() >= 1 for get, _ in controls)
+
+
+def test_predict_ensemble_needs_a_model():
+    with pytest.raises(SizeMismatch):
+        predict_ensemble([], np.zeros((5, 9, 9)))
 
 
 def test_predict_ensemble_identical_members():

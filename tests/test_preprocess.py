@@ -62,6 +62,44 @@ def test_unwrap_roundtrip_and_congruence(seed):
     assert rms(out - phi) < 1e-6
 
 
+def _unwrap_on_scipy_dct(wrapped):
+    """The reflecting-boundary least-squares unwrap on scipy's type-II DCT, for reference."""
+    from scipy import fft
+
+    p = np.asarray(wrapped, dtype=float)
+    m, n = p.shape
+    dy = wrap_phase(np.diff(p, axis=0))
+    dx = wrap_phase(np.diff(p, axis=1))
+    rho = np.zeros_like(p)
+    rho[:-1, :] += dy
+    rho[1:, :] -= dy
+    rho[:, :-1] += dx
+    rho[:, 1:] -= dx
+    wy = 2.0 * np.cos(np.pi * np.arange(m) / m) - 2.0
+    wx = 2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0
+    denom = wy[:, None] + wx[None, :]
+    denom[0, 0] = 1.0
+    coeff = fft.dctn(rho, type=2, norm="ortho") / denom
+    coeff[0, 0] = 0.0
+    smooth = fft.idctn(coeff, type=2, norm="ortho")
+    diff = smooth - p
+    offset = np.angle(np.mean(np.exp(1j * diff)))
+    k = np.round((diff - offset) / (2 * np.pi))
+    return p + 2 * np.pi * k
+
+
+@pytest.mark.parametrize(
+    "shape", [(64, 64), (37, 53), (128, 96)], ids=["64x64", "37x53", "128x96"]
+)
+def test_unwrap_gives_the_scipy_dct_bytes(shape):
+    rng = np.random.default_rng(sum(shape))
+    yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]].astype(float)
+    # wraps everywhere, and noise that leaves residues for the congruence step
+    phi = 4.0 * np.sin(xx / 7.0) + 0.2 * yy + rng.normal(0.0, 0.8, shape)
+    wrapped = wrap_phase(phi)
+    assert unwrap_phase(wrapped).tobytes() == _unwrap_on_scipy_dct(wrapped).tobytes()
+
+
 # ---- clipping ----
 
 

@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from phaseuq.errors import NonFiniteInput, NonPositiveSigma
+from phaseuq.errors import NonFiniteInput, NonPositiveSigma, ShapeMismatch
 from phaseuq import uqstats
-from phaseuq.grid import RealRaster
 from phaseuq.uqstats import (
     BOUND_TOL,
     MIN_BIN_COUNT,
@@ -22,12 +21,6 @@ from phaseuq.uqstats import (
 )
 
 
-def mk_map(mu, sigma):
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    return PredictiveMap(RealRaster(mu), RealRaster(sigma))
-
-
 def mk_ensemble(members):
     return PredictiveEnsemble(tuple(members))
 
@@ -35,7 +28,7 @@ def mk_ensemble(members):
 def random_ensemble(seed, n=8, p=4):
     rng = np.random.default_rng(seed)
     members = [
-        mk_map(rng.normal(0.0, 1.0, (n, n)), rng.uniform(0.2, 2.0, (n, n)))
+        PredictiveMap(rng.normal(0.0, 1.0, (n, n)), rng.uniform(0.2, 2.0, (n, n)))
         for _ in range(p)
     ]
     return mk_ensemble(members)
@@ -80,14 +73,14 @@ def test_cdf_rejects_nonpositive_sigma():
 def test_mean_single_member_identity():
     rng = np.random.default_rng(0)
     mu = rng.normal(size=(5, 5))
-    ens = mk_ensemble([mk_map(mu, np.ones((5, 5)))])
+    ens = mk_ensemble([PredictiveMap(mu, np.ones((5, 5)))])
     assert np.array_equal(decompose_uncertainty(ens).mean, mu)
 
 
 def test_mean_two_members():
     ens = mk_ensemble(
-        [mk_map(np.full((3, 3), 1.0), np.ones((3, 3))),
-         mk_map(np.full((3, 3), 3.0), np.ones((3, 3)))]
+        [PredictiveMap(np.full((3, 3), 1.0), np.ones((3, 3))),
+         PredictiveMap(np.full((3, 3), 3.0), np.ones((3, 3)))]
     )
     assert np.array_equal(decompose_uncertainty(ens).mean, np.full((3, 3), 2.0))
 
@@ -110,7 +103,7 @@ def test_decompose_identical_members():
     rng = np.random.default_rng(1)
     mu = rng.normal(size=(6, 6))
     sigma = rng.uniform(0.5, 1.5, (6, 6))
-    ens = mk_ensemble([mk_map(mu, sigma)] * 4)
+    ens = mk_ensemble([PredictiveMap(mu, sigma)] * 4)
     maps = decompose_uncertainty(ens)
     assert np.all(maps.model_sigma == 0.0)
     assert np.max(np.abs(maps.data_sigma - math.sqrt(2.0) * sigma)) < 1e-12
@@ -119,7 +112,7 @@ def test_decompose_identical_members():
 
 def test_decompose_two_point_model_sigma():
     sig = np.full((4, 4), 1e-12)
-    ens = mk_ensemble([mk_map(np.zeros((4, 4)), sig), mk_map(np.full((4, 4), 2.0), sig)])
+    ens = mk_ensemble([PredictiveMap(np.zeros((4, 4)), sig), PredictiveMap(np.full((4, 4), 2.0), sig)])
     maps = decompose_uncertainty(ens)
     assert np.max(np.abs(maps.model_sigma - 1.0)) < 1e-12
 
@@ -147,7 +140,7 @@ def test_decompose_mean_matches_predictive_mean():
 
 def test_credibility_single_member_three_sigma():
     sigma = 0.7
-    ens = mk_ensemble([mk_map(np.zeros((4, 4)), np.full((4, 4), sigma))])
+    ens = mk_ensemble([PredictiveMap(np.zeros((4, 4)), np.full((4, 4), sigma))])
     cmap = credibility_map(ens, 3.0 * sigma)
     expected = 1.0 - math.exp(-3.0)
     assert np.max(np.abs(cmap - expected)) < 1e-12
@@ -183,7 +176,7 @@ def test_credibility_matches_monte_carlo():
     p_members, n_draws = 3, 10**5
     mus = rng.normal(0.0, 1.0, p_members)
     sigmas = rng.uniform(0.3, 1.2, p_members)
-    ens = mk_ensemble([mk_map(np.full((1, 1), m), np.full((1, 1), s))
+    ens = mk_ensemble([PredictiveMap(np.full((1, 1), m), np.full((1, 1), s))
                        for m, s in zip(mus, sigmas)])
     eps = 1.1
     p = float(credibility_map(ens, eps)[0, 0])
@@ -205,7 +198,7 @@ def test_credibility_rejects_negative_epsilon():
 
 def test_bound_single_member_95():
     sigma = 0.6
-    ens = mk_ensemble([mk_map(np.zeros((3, 3)), np.full((3, 3), sigma))])
+    ens = mk_ensemble([PredictiveMap(np.zeros((3, 3)), np.full((3, 3), sigma))])
     eps = credible_bound(ens, 0.95)
     expected = -sigma * math.log(0.05)
     assert np.max(np.abs(eps - expected)) < 1e-5
@@ -257,7 +250,7 @@ def _assert_tight(ens, bound, target):
 def test_bound_identical_members():
     # every member bound is the same, so the bracket starts zero wide
     rng = np.random.default_rng(15)
-    member = mk_map(rng.normal(size=(6, 6)), rng.uniform(0.1, 2.0, (6, 6)))
+    member = PredictiveMap(rng.normal(size=(6, 6)), rng.uniform(0.1, 2.0, (6, 6)))
     for target in (0.3, 0.9, 0.98):
         ens = mk_ensemble([member] * 3)
         bound = credible_bound(ens, target)
@@ -273,7 +266,7 @@ def huge_sigma_ensemble(*bigs):
     sigmas = [rng.uniform(0.01, 0.3, shape) for _ in range(4)]
     for sigma, big in zip(sigmas[::-1], bigs):
         sigma[::3, ::2] = big
-    return mk_ensemble([mk_map(rng.normal(0.5, 0.2, shape), sigma) for sigma in sigmas])
+    return mk_ensemble([PredictiveMap(rng.normal(0.5, 0.2, shape), sigma) for sigma in sigmas])
 
 
 def test_bound_with_members_at_huge_sigma():
@@ -353,11 +346,11 @@ def wide_ensemble():
     rng = np.random.default_rng(14)
     shape = (45, 37)
     members = [
-        mk_map(rng.normal(0.5, 0.2, shape), rng.uniform(0.01, 0.3, shape)) for _ in range(3)
+        PredictiveMap(rng.normal(0.5, 0.2, shape), rng.uniform(0.01, 0.3, shape)) for _ in range(3)
     ]
     sigma = rng.uniform(0.01, 0.3, shape)
     sigma[3, 5:9] = 1e9
-    members.append(mk_map(rng.normal(0.5, 0.2, shape), sigma))
+    members.append(PredictiveMap(rng.normal(0.5, 0.2, shape), sigma))
     return mk_ensemble(members)
 
 
@@ -366,7 +359,7 @@ def test_blockwise_outputs_independent_of_block_size(monkeypatch):
     # than nine rows of many, and a bound's last pixels run as one column
     rng = np.random.default_rng(17)
     nine = mk_ensemble(
-        [mk_map(rng.normal(0.5, 0.2, (45, 37)), rng.uniform(0.01, 0.3, (45, 37))) for _ in range(9)]
+        [PredictiveMap(rng.normal(0.5, 0.2, (45, 37)), rng.uniform(0.01, 0.3, (45, 37))) for _ in range(9)]
     )
     for ens in (wide_ensemble(), nine):
         runs = []
@@ -383,7 +376,7 @@ def test_blockwise_outputs_independent_of_block_size(monkeypatch):
 def test_credibility_matches_laplace_cdf_mixture():
     ens = wide_ensemble()
     eps = 0.05
-    want = _credibility_of(ens, np.full(ens.members[0].mu.shape, eps))
+    want = _credibility_of(ens, np.full(ens.shape, eps))
     got = credibility_map(ens, eps)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -392,15 +385,25 @@ def test_blockwise_rejects_zero_sigma():
     ens = wide_ensemble()
     bad = ens.members[1].sigma.data.copy()
     bad[20, 30] = 0.0
-    members = list(ens.members)
-    members[1] = PredictiveMap(members[1].mu, RealRaster(bad))
-    ens = mk_ensemble(members)
     with pytest.raises(NonPositiveSigma):
-        credibility_map(ens, 0.05)
+        PredictiveMap(ens.members[1].mu.data, bad)
+
+
+def test_predictive_map_checks_its_arrays():
+    good = np.ones((4, 4))
+    for value in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[1, 2] = value
+        with pytest.raises(NonFiniteInput):
+            PredictiveMap(bad, good)
+        with pytest.raises(NonFiniteInput):
+            PredictiveMap(good, bad)
     with pytest.raises(NonPositiveSigma):
-        credible_bound(ens, 0.9)
-    with pytest.raises(NonPositiveSigma):
-        decompose_uncertainty(ens)
+        PredictiveMap(good, np.zeros((4, 4)))
+    with pytest.raises(ShapeMismatch):
+        PredictiveMap(good, np.ones((4, 5)))
+    member = PredictiveMap(good.astype(np.float32), good)
+    assert member.mu.data.dtype == np.float64
 
 
 def test_calls_share_one_member_stack():
@@ -436,7 +439,7 @@ def calibrated_setup(n_px=409600, eps=1.0, seed=21):
     sigma = -eps / np.log1p(-p_target)
     mu = rng.normal(0.0, 1.0, shape)
     truth = rng.laplace(mu, sigma)
-    ens = mk_ensemble([mk_map(mu, sigma)])
+    ens = mk_ensemble([PredictiveMap(mu, sigma)])
     return ens, truth, eps
 
 
@@ -450,7 +453,7 @@ def test_diagram_has_25_bins():
 
 def test_diagram_degenerate_single_bin():
     sigma = 0.5
-    ens = mk_ensemble([mk_map(np.zeros((40, 40)), np.full((40, 40), sigma))])
+    ens = mk_ensemble([PredictiveMap(np.zeros((40, 40)), np.full((40, 40), sigma))])
     truth = np.zeros((40, 40))
     diag = diagram_of(ens, truth, 3.0 * sigma)
     assert np.count_nonzero(diag.count) == 1
