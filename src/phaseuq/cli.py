@@ -69,7 +69,6 @@ train {
   stride 12
 }
 analysis {
-  policy background-noise
   target_p 0.98
   delta_p 0.04
   background_threshold 0.05

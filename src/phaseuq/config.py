@@ -15,10 +15,11 @@ a loud one.
 
 Each block is one frozen dataclass, and the library takes these as they
 are (``GeometryBlock`` as the LED array, ``NoiseBlock`` for measurement
-noise, ``TrainConfig`` for training, ``SfpmConfig`` for the sfpm solver).
-Every block checks its ranges in ``__post_init__``, so a bad value raises
-ConfigError when the config is parsed, or when a block is rebuilt with
-``dataclasses.replace``, before any stage runs.
+noise, ``TrainConfig`` for training). Every block checks its ranges in
+``__post_init__``, so a bad value raises ConfigError when the config is
+parsed, or when a block is rebuilt with ``dataclasses.replace``, before
+any stage runs. There is no setting for epsilon: the analysis derives it
+from the measured background noise.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError, IndexOutOfRange
 
 _PHANTOM_KINDS = ("gaussian-bumps", "resolution-target")
-_NOISE_MODELS = ("gaussian", "poisson", "none")
-_POLICIES = ("background-noise", "explicit")
-_SFPM_INITS = ("upsampled-brightfield", "flat")
+_NOISE_MODELS = ("gaussian", "poisson")
 
 
 def _check(ok: bool, key: str, rule: str, value) -> None:
@@ -163,7 +162,7 @@ class PhantomBlock:
 
 @dataclass(frozen=True)
 class NoiseBlock:
-    model: str = "none"
+    model: str = "gaussian"
     level: float = 0.0
     seed: int = 0
 
@@ -180,13 +179,9 @@ class SfpmConfig:
     """Settings of the sequential synthetic-aperture solver: the sfpm block."""
 
     epochs: int = 50
-    step: float = 1.0
-    init: str = "upsampled-brightfield"
 
     def __post_init__(self):
         _at_least("sfpm.epochs", self.epochs, 1)
-        _check(0.0 < self.step <= 1.0, "sfpm.step", "in (0, 1]", self.step)
-        _one_of("sfpm.init", self.init, _SFPM_INITS)
 
 
 @dataclass(frozen=True)
@@ -216,17 +211,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class AnalysisBlock:
-    policy: str = "background-noise"
-    epsilon: float = 0.0
     target_p: float = 0.95
     delta_p: float = 0.04
     background_threshold: float = 0.1
 
     def __post_init__(self):
-        _one_of("analysis.policy", self.policy, _POLICIES)
-        _nonnegative("analysis.epsilon", self.epsilon)
-        if self.policy == "explicit":
-            _positive("analysis.epsilon", self.epsilon)
         _fraction("analysis.target_p", self.target_p)
         # reliability bins are ((m-1) delta_p, m delta_p] for m = 1 .. 1/delta_p
         inverse = 1.0 / self.delta_p if 1e-3 <= self.delta_p <= 1.0 else 0.0

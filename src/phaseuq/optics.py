@@ -249,13 +249,12 @@ def phase_transfer_function(
 
 
 def add_noise(img: np.ndarray, noise: NoiseBlock, seed: int) -> np.ndarray:
-    """img with the block's measurement noise; img itself under model none.
+    """img with the block's measurement noise.
 
-    gaussian adds a normal draw of std level; poisson draws photon counts at
-    level photons per unit intensity and scales them back.
+    gaussian adds a normal draw of std level, so level 0 leaves every
+    intensity's bytes as they are (intensities are >= +0.0); poisson draws
+    photon counts at level photons per unit intensity and scales them back.
     """
-    if noise.model == "none":
-        return img
     rng = np.random.default_rng(seed)
     if noise.model == "gaussian":
         return img + noise.level * rng.standard_normal(img.shape)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GeometryBlock, SfpmConfig
+from .config import GeometryBlock
 from .errors import InsufficientGrid, NonFiniteInput, ZeroMeanImage
 from .grid import (
     _fft2_ortho,
@@ -61,13 +61,15 @@ class MeasurementStack:
 
 def sfpm_reconstruct(
     stack: MeasurementStack,
-    cfg: SfpmConfig,
+    epochs: int,
     hires_shape: tuple[int, int],
     residuals: list[float] | None = None,
 ) -> np.ndarray:
     """Sequential synthetic-aperture phase retrieval; returns the complex field.
 
-    Per epoch, LEDs are visited in ascending illumination NA.  The spectrum
+    The object spectrum starts from the upsampled brightfield of the
+    lowest-NA LED.  Per epoch, LEDs are visited in ascending illumination
+    NA, and each update uses the full gain conj(P) / max|P|^2.  The spectrum
     window for LED j is propagated to the camera plane, its magnitude is
     replaced by sqrt(I_j) keeping the phase (psi * sqrt(I_j) / |psi|, or
     sqrt(I_j) where psi = 0), and the window is corrected by the
@@ -96,18 +98,13 @@ def sfpm_reconstruct(
     hi_pitch = stack.pitch * n_r / N_r
     P = make_pupil(stack.na_obj, g.wavelength, (n_r, n_c), stack.pitch)
     amp_scale = math.sqrt((n_r * n_c) / (N_r * N_c))
-    # Psi = amp_scale * W * P, and W += step * conj(P) / max|P|^2 * dPsi / amp_scale
+    # Psi = amp_scale * W * P, and W += conj(P) / max|P|^2 * dPsi / amp_scale
     p_scaled = swap_quadrants(amp_scale * P)
-    gain = swap_quadrants(cfg.step * np.conj(P) / np.max(np.abs(P)) ** 2 / amp_scale)
+    gain = swap_quadrants(np.conj(P) / np.max(np.abs(P)) ** 2 / amp_scale)
 
     order = sorted(stack.images, key=lambda led: (na_illum[led], led))
-
-    if cfg.init == "flat":
-        O = fft2_unitary(np.ones((N_r, N_c), dtype=complex))
-    else:
-        on_axis = min(order, key=lambda led: (na_illum[led], led))
-        amp = np.sqrt(np.maximum(stack.images[on_axis], 0.0))
-        O = embed_center_spectrum(fft2_unitary(amp.astype(complex)), N_r, N_c)
+    amp = np.sqrt(np.maximum(stack.images[order[0]], 0.0))
+    O = embed_center_spectrum(fft2_unitary(amp.astype(complex)), N_r, N_c)
 
     sqrt_meas = {
         led: swap_quadrants(np.sqrt(np.maximum(stack.images[led], 0.0)))
@@ -122,7 +119,7 @@ def sfpm_reconstruct(
     W = np.empty((n_r, n_c), dtype=complex)
     Psi = np.empty_like(W)
     mag = np.empty((n_r, n_c))
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         misfit = 0.0
         for led in order:
             r0, c0 = windows[led]

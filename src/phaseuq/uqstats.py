@@ -295,7 +295,7 @@ def reliability_diagram(
     epsilon: float,
     mean: np.ndarray,
     truth: np.ndarray,
-    delta_p: float = 0.04,
+    delta_p: float,
 ) -> ReliabilityDiagram:
     """Bin pixels by credibility and compare against empirical accuracy.
 

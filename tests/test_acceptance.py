@@ -22,7 +22,7 @@ from conftest import (
 )
 from phaseuq import pipeline
 from phaseuq.cli import DEMO_CONFIG
-from phaseuq.config import GeometryBlock, SfpmConfig, TrainConfig, parse_config
+from phaseuq.config import GeometryBlock, TrainConfig, parse_config
 from phaseuq.grid import crop_center_spectrum, fft2_unitary, ifft2_unitary
 from phaseuq.learner import (
     RegressorParams,
@@ -101,7 +101,7 @@ def test_01_synthetic_aperture_closure():
     leds = range(g.n_leds)
     images = forward_leds(obj, 0.5, pupil, [led_frequency(g, led) for led in leds])
     stack = MeasurementStack(dict(zip(leds, images)), g, NA_OBJ, 2.0)
-    rec = sfpm_reconstruct(stack, SfpmConfig(epochs=50), (256, 256))
+    rec = sfpm_reconstruct(stack, 50, (256, 256))
     diff = np.angle(rec) - phi
     rmse = float(np.sqrt(np.mean((diff - diff.mean()) ** 2)))
     elapsed = time.time() - t0

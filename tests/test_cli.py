@@ -68,7 +68,6 @@ train {
   stride 16
 }
 analysis {
-  policy background-noise
   target_p 0.95
   delta_p 0.04
   background_threshold 0.1
@@ -132,7 +131,7 @@ def test_simulate_artifacts(chain, cfg):
 
 def test_multiplexed_images_sum_the_stack_rows(tmp_path):
     # noise-free, each pattern image is its LEDs' stack rows added in pattern order
-    quiet = parse_config(SMALL.replace("model gaussian", "model none"))
+    quiet = parse_config(SMALL.replace("level 0.002", "level 0"))
     run = pipeline.simulate_stage(quiet, tmp_path)
     stack, info = read_tensor(run / "led_stack.puqt")
     leds = dict(line.split(" ", 1) for line in info.splitlines())["leds"].split()

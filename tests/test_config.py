@@ -10,10 +10,12 @@ import pytest
 
 from phaseuq.cli import DEMO_CONFIG
 from phaseuq.config import (
+    _BLOCK_TYPES,
     ExperimentConfig,
     canonical_text,
     config_hash,
     load_config,
+    parse_blocks,
     parse_config,
 )
 from phaseuq.errors import ConfigError, FormatError, NonFiniteInput
@@ -72,7 +74,6 @@ def test_parse_full_config():
     assert cfg.noise.level == pytest.approx(0.002)
     assert cfg.train.epochs == 40
     assert cfg.train.lr == pytest.approx(1e-3)
-    assert cfg.analysis.policy == "background-noise"
     assert cfg.paths.simulate_dir == ""
 
 
@@ -155,14 +156,12 @@ def set_key(key, value, text=None):
         ("noise.level", "nan", "noise.level"),
         ("optics.na_max", "0.05", "optics.na_max"),
         ("sfpm.order", "raster", "sfpm.order"),
-        ("sfpm.step", "2", "sfpm.step"),
         ("train.epochs", "0", "train.epochs"),
         ("train.patch", "0", "train.patch"),
         ("train.stride", "0", "train.stride"),
         ("train.dropout_rate", "1.0", "train.dropout_rate"),
         ("analysis.target_p", "1.5", "analysis.target_p"),
         ("phantom.count", "0", "phantom.count"),
-        ("analysis.policy", "explicit", "analysis.epsilon"),  # epsilon stays 0
         ("phantom.seed", "-1", "phantom.seed"),
         ("noise.seed", "-1", "noise.seed"),
         ("train.seed", "-1", "train.seed"),
@@ -175,6 +174,13 @@ def set_key(key, value, text=None):
         ("phantom.amplitude_hi", "0.5", "phantom.amplitude_hi"),  # below amplitude_lo
         ("noise.model,noise.level", "poisson,0", "noise.level"),
         ("noise.model", "speckle", "noise.model"),
+        ("noise.model", "none", "noise.model must be one of gaussian, poisson"),
+        # sfpm starts from the upsampled brightfield at full step, and epsilon comes
+        # from the background noise: neither is a setting
+        ("sfpm.step", "1.0", "unknown key sfpm.step"),
+        ("sfpm.init", "flat", "unknown key sfpm.init"),
+        ("analysis.policy", "background-noise", "unknown key analysis.policy"),
+        ("analysis.epsilon", "0.01", "unknown key analysis.epsilon"),
         ("train.stride", "20", "train.stride must be in [1, patch=16]"),  # gaps between patches
         ("optics.n_detector,optics.n_hires", "33,132", "optics.n_detector"),  # odd grid
     ],
@@ -210,8 +216,20 @@ def test_demo_config_hash_pinned():
     # the hash is in every manifest and checkpoint header, so block field
     # names and their order are part of the run-tree format
     assert config_hash(parse_config(DEMO_CONFIG)) == (
-        "807a48ea90a672a20b575aba6f6f5aec9c10875c712542ca52e20f4d0e36833f"
+        "81597ed90a7e62f751e1f85d91ed8d1f814bbdfb9dd23aef3662092badacc715"
     )
+
+
+def test_demo_config_sets_every_setting():
+    # every setting is one the built-in demo, and so every benchmark workload, runs
+    named = {f"{b}.{k}" for b, body in parse_blocks(DEMO_CONFIG).items() for k in body}
+    every = {
+        f"{name}.{f.name}"
+        for name, cls in _BLOCK_TYPES.items()
+        if name != "paths"
+        for f in dataclasses.fields(cls)
+    }
+    assert every - named == set()
 
 
 def test_load_config_file(tmp_path):

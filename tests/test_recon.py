@@ -56,14 +56,14 @@ def closure_run():
     phi = bump_field(256, seed=1, amplitude=1.0)
     stack, _ = simulate_stack(g, phi, 256, 64, 0.5)
     residuals = []
-    rec = sfpm_reconstruct(stack, SfpmConfig(epochs=50), (256, 256), residuals=residuals)
+    rec = sfpm_reconstruct(stack, 50, (256, 256), residuals=residuals)
     return g, phi, rec, residuals
 
 
 def test_sfpm_flat_object_is_fixed_point():
     g = GeometryBlock(7, 7, 2.0, 60.0, LAM, 3, 3)
     stack, _ = simulate_stack(g, np.zeros((128, 128)), 128, 32, 0.5)
-    rec = sfpm_reconstruct(stack, SfpmConfig(epochs=3), (128, 128))
+    rec = sfpm_reconstruct(stack, 3, (128, 128))
     assert np.angle(rec).std() < 1e-3
 
 
@@ -98,7 +98,7 @@ def test_sfpm_residual_shrinks_across_phantoms(seed):
     phi = bump_field(128, seed=seed, amplitude=1.0, sigma_range=(6.0, 14.0))
     stack, _ = simulate_stack(g, phi, 128, 32, 0.5)
     residuals = []
-    sfpm_reconstruct(stack, SfpmConfig(epochs=8), (128, 128), residuals=residuals)
+    sfpm_reconstruct(stack, 8, (128, 128), residuals=residuals)
     assert residuals[-1] < 0.1 * residuals[0]
 
 
@@ -108,26 +108,15 @@ def test_sfpm_translation_consistency():
     shift = (8, 4)  # whole high-res pixels, multiple of the 4x factor
     stack_a, _ = simulate_stack(g, phi, 128, 32, 0.5)
     stack_b, _ = simulate_stack(g, np.roll(phi, shift, axis=(0, 1)), 128, 32, 0.5)
-    cfg = SfpmConfig(epochs=6)
-    rec_a = sfpm_reconstruct(stack_a, cfg, (128, 128))
-    rec_b = sfpm_reconstruct(stack_b, cfg, (128, 128))
+    rec_a = sfpm_reconstruct(stack_a, 6, (128, 128))
+    rec_b = sfpm_reconstruct(stack_b, 6, (128, 128))
     assert np.max(np.abs(np.roll(rec_a, shift, axis=(0, 1)) - rec_b)) < 1e-9
-
-
-def test_sfpm_flat_init_also_converges():
-    g = GeometryBlock(9, 9, 2.2, 60.0, LAM, 4, 4)
-    phi = bump_field(128, seed=3, amplitude=1.0, sigma_range=(6.0, 14.0))
-    stack, _ = simulate_stack(g, phi, 128, 32, 0.5)
-    rec = sfpm_reconstruct(stack, SfpmConfig(epochs=50, init="flat"), (128, 128))
-    diff = np.angle(rec) - phi
-    diff -= diff.mean()
-    assert np.sqrt(np.mean(diff**2)) < 0.01
 
 
 def test_sfpm_determinism(closure_run):
     g, phi, rec, _ = closure_run
     stack, _ = simulate_stack(g, phi, 256, 64, 0.5)
-    again = sfpm_reconstruct(stack, SfpmConfig(epochs=50), (256, 256))
+    again = sfpm_reconstruct(stack, 50, (256, 256))
     assert np.array_equal(again, rec)
 
 
@@ -170,7 +159,7 @@ def test_sfpm_matches_textbook_reference():
     g = GeometryBlock(9, 9, 2.2, 60.0, LAM, 4, 4)
     phi = bump_field(128, seed=2, amplitude=1.0, sigma_range=(6.0, 14.0))
     stack, _ = simulate_stack(g, phi, 128, 32, 0.5)
-    rec = sfpm_reconstruct(stack, SfpmConfig(epochs=1), (128, 128))
+    rec = sfpm_reconstruct(stack, 1, (128, 128))
     want = reference_sfpm(stack, 1, 128)
     assert np.max(np.abs(rec - want)) <= 1e-9
 
@@ -184,7 +173,7 @@ def test_sfpm_non_finite_loop_value_raises(monkeypatch):
     monkeypatch.setattr(recon, "make_pupil", lambda *args: broken)
     residuals = []
     with pytest.raises(NonFiniteInput):
-        sfpm_reconstruct(stack, SfpmConfig(epochs=3), (128, 128), residuals=residuals)
+        sfpm_reconstruct(stack, 3, (128, 128), residuals=residuals)
     assert residuals == []  # raised at the end of the first epoch
 
 
@@ -192,18 +181,12 @@ def test_sfpm_insufficient_grid():
     g = GeometryBlock(9, 9, 2.2, 60.0, LAM, 4, 4)
     stack, _ = simulate_stack(g, np.zeros((128, 128)), 128, 32, 0.5, leds=[40, 0])
     with pytest.raises(InsufficientGrid):
-        sfpm_reconstruct(stack, SfpmConfig(epochs=1), (64, 64))
+        sfpm_reconstruct(stack, 1, (64, 64))
 
 
 def test_sfpm_config_validation():
     with pytest.raises(ConfigError):
         SfpmConfig(epochs=0)
-    with pytest.raises(ConfigError):
-        SfpmConfig(step=0.0)
-    with pytest.raises(ConfigError):
-        SfpmConfig(step=1.5)
-    with pytest.raises(ConfigError):
-        SfpmConfig(init="zeros")
 
 
 # ---- DPC ----

@@ -423,10 +423,10 @@ def test_calls_share_one_member_stack():
 # ------------------------------------------------------ reliability_diagram
 
 
-def diagram_of(ens, truth, eps, **kwargs):
-    """The ensemble's diagram, binned from its own credibility map and mean."""
+def diagram_of(ens, truth, eps):
+    """The ensemble's diagram in bins of width 0.04, from its own credibility map and mean."""
     mean = decompose_uncertainty(ens).mean
-    return reliability_diagram(credibility_map(ens, eps), eps, mean, truth, **kwargs)
+    return reliability_diagram(credibility_map(ens, eps), eps, mean, truth, 0.04)
 
 
 def calibrated_setup(n_px=409600, eps=1.0, seed=21):
@@ -445,7 +445,7 @@ def calibrated_setup(n_px=409600, eps=1.0, seed=21):
 
 def test_diagram_has_25_bins():
     ens, truth, eps = calibrated_setup(n_px=4096)
-    diag = diagram_of(ens, truth, eps, delta_p=0.04)
+    diag = diagram_of(ens, truth, eps)
     assert len(diag.lo) == len(diag.hi) == len(diag.count) == 25
     assert diag.lo[0] == 0.0
     assert abs(diag.hi[-1] - 1.0) < 1e-12
